@@ -8,10 +8,9 @@
 //! loss bursts, delay spikes, duplication, CPU throttles, and server
 //! crash/restart events, executed inside the simulator with all
 //! randomness drawn statelessly from the plan's seed. Same seed, same
-//! plan → byte-identical simulator transcripts across both event-queue
-//! backends *and any shard count* (the plan replicates cleanly onto
-//! `ldp-shard` workers), so every failure experiment is exactly
-//! reproducible.
+//! plan → byte-identical simulator transcripts across *any shard
+//! count* (the plan replicates cleanly onto `ldp-shard` workers), so
+//! every failure experiment is exactly reproducible.
 //!
 //! The pieces:
 //! - [`plan`]: the declarative [`FaultPlan`] (+ a line-based text

@@ -10,10 +10,10 @@
 //! closures via [`FnInjector`].
 //!
 //! Determinism contract: the injector is consulted in event order (the
-//! same total order the event queue guarantees across backends), so an
-//! injector whose decisions depend only on its own seeded RNG and the
-//! arguments it receives keeps same-seed runs byte-identical (rules
-//! D2/D3, see `crates/chaos/tests/determinism_faults.rs`).
+//! event queue's strict total order), so an injector whose decisions
+//! depend only on its own seeded RNG and the arguments it receives
+//! keeps same-seed runs byte-identical (rules D2/D3, see
+//! `crates/chaos/tests/determinism_faults.rs`).
 
 use std::net::SocketAddr;
 

@@ -27,7 +27,7 @@ pub mod topology;
 
 pub use fault::{FaultInjector, FnInjector, PacketFate, WireKind};
 pub use host::{Host, PacketBytes, TcpEvent};
-pub use queue::{EventQueue, QueueKind};
+pub use queue::EventQueue;
 pub use resources::{CpuModel, MemoryModel};
 pub use sim::{
     stream_seed, ConnId, Ctx, HostId, HostStats, RemoteUdp, SimConfig, Simulator,

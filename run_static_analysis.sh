@@ -127,6 +127,17 @@ if [ -f BENCH_hotpath.json ]; then
     else
         note "guard fuzzy-checkpoint bench: ${fuzzy} round-trips/s"
     fi
+    # Simulator gate: the single-shard event rate and the raw event-queue
+    # rate must be present.
+    for key in events_per_sec raw_queue_ops_per_sec; do
+        rate=$(bench_num "$key")
+        if [ -z "$rate" ]; then
+            note "FAILED: sim.$key missing from BENCH_hotpath.json"
+            fail=1
+        else
+            note "sim bench ($key): ${rate}/s"
+        fi
+    done
     # Sharded-simulator gate: all three shard-count rates must be
     # present (the hotpath binary itself asserts the sharded event
     # counts equal the single-shard run before reporting them).
