@@ -1,27 +1,26 @@
 //! `fig_recovery`: the crash-recovery study — ldp-guard's two recovery
 //! paths made runnable and self-gating.
 //!
-//! 1. **Checkpoint/resume.** A checkpointed replay is killed mid-run
-//!    (the simulator is abandoned, as `kill -9` would) and rebuilt in
-//!    a fresh simulator from the last committed checkpoint. Gates: the
-//!    resumed transcript body AND the drained per-query telemetry
-//!    (killed-run prefix up to the quiescent cut + resumed remainder,
-//!    compared via the binary dump — no string rendering) must be
-//!    byte-identical to an uninterrupted same-seed run.
+//! 1. **Checkpoint/resume.** A replay checkpointed by fuzzy cuts is
+//!    killed mid-run (the simulator is abandoned, as `kill -9` would)
+//!    and rebuilt in a fresh simulator from the last committed cut.
+//!    Gates: the resumed transcript body AND the drained per-query
+//!    telemetry (killed-run events of the cut's completed queries +
+//!    resumed remainder, in canonical order, compared via the binary
+//!    dump — no string rendering) must be byte-identical to an
+//!    uninterrupted same-seed run.
 //! 2. **Querier crash.** A `QuerierCrash` fault power-cycles the
 //!    querier host mid-replay; `on_restart` re-dispatches the dead
 //!    span. Gate: ≥ 99 % of the trace still answered, and at least one
 //!    query demonstrably re-dispatched after the restart (so the fault
 //!    is live, not a no-op).
 //! 3. **Crash storm** (`--storm`). A sustained loss-plus-delay storm
-//!    makes the client permanently non-quiescent, so v1's quiescent
-//!    checkpointing commits *nothing* from the storm's onset to the
-//!    kill (the `v1-starvation` row) while the v2 fuzzy-cut cadence
-//!    keeps committing with live in-flight state. Gates: zero v1
-//!    commits in the storm window but at least one calm-prefix commit;
-//!    v2 commits in the window with `inflight > 0`; resume from the
-//!    mid-storm fuzzy cut is transcript- AND telemetry-byte-identical
-//!    to the uninterrupted storm baseline.
+//!    keeps queries on the wire at every completion; the fuzzy-cut
+//!    cadence keeps committing with live in-flight state. Gates:
+//!    commits in the storm window with `inflight > 0`; the storm
+//!    baseline answers the whole trace; and gate 1, applied to the
+//!    storm shape, resumes from the mid-storm cut with the in-flight
+//!    queries it carries.
 //!
 //! Exits nonzero if any gate fails.
 //!
@@ -30,8 +29,7 @@
 use ldp_bench::{arg_f64, arg_flag};
 use ldp_chaos::recovery::{
     run_killed, run_querier_crash, run_resumed, run_storm_baseline, run_storm_killed,
-    run_storm_killed_v1, run_storm_resumed, run_uninterrupted, spliced_q_events,
-    spliced_q_events_fuzzy, RecoveryConfig, StormConfig,
+    run_storm_resumed, run_uninterrupted, spliced_q_events_fuzzy, RecoveryConfig, StormConfig,
 };
 use ldp_guard::Checkpoint;
 use ldp_telemetry as tel;
@@ -68,81 +66,57 @@ fn round_trip(cp: &Checkpoint) -> Result<Checkpoint, String> {
         .and_then(|t| Checkpoint::from_text(&t).map_err(|e| e.to_string()))
 }
 
-/// The checkpoint/resume gate: kill, resume from the last committed
-/// checkpoint, and compare transcript and telemetry with an
-/// uninterrupted run. Returns whether the gate passed.
-fn resume_gate(cfg: &RecoveryConfig) -> bool {
-    let base = run_uninterrupted(cfg);
-    let killed = run_killed(cfg);
-    let Some(cp) = killed.checkpoint.clone() else {
-        println!("gate: Heap resume — FAIL (no checkpoint committed before the kill)");
-        return false;
+/// The checkpoint/resume gate, for the calm shape (`storm = None`) or
+/// a storm: kill, resume from the last committed fuzzy cut, and
+/// compare transcript and telemetry with an uninterrupted run. A storm
+/// additionally gates on cuts committing through the storm window with
+/// live state and on the baseline answering the whole trace. Returns
+/// whether the gate passed.
+fn resume_gate(name: &str, cfg: &RecoveryConfig, storm: Option<&StormConfig>) -> bool {
+    let (base, killed) = match storm {
+        None => (run_uninterrupted(cfg), run_killed(cfg)),
+        Some(s) => (run_storm_baseline(s), run_storm_killed(s)),
     };
-    let cp = match round_trip(&cp) {
-        Ok(c) => c,
-        Err(e) => {
-            println!("gate: Heap resume — FAIL (checkpoint round-trip: {e})");
-            return false;
-        }
-    };
-    let resumed = run_resumed(cfg, &cp);
-    let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
-    let spliced = spliced_q_events(&killed, &resumed);
-    let tel_diff = tel::diff_logs(&spliced, &base.q_events);
-    let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base.q_events);
-    println!(
-        "gate: Heap resume from cursor {} ({} checkpointed records) — transcript {}, telemetry {} ({} events)",
-        cp.cursor,
-        cp.records.len(),
-        if transcript_ok { "byte-identical" } else { "MISMATCH" },
-        if tel_diff.is_none() && dump_ok { "byte-identical" } else { "MISMATCH" },
-        base.q_events.len(),
-    );
-    if let Some(ref d) = tel_diff {
-        println!("  telemetry divergence: {d}");
+    let mut ok = true;
+    if let Some(s) = storm {
+        let (from, to) = s.storm_window();
+        let in_storm = killed.stamps_in(from, to);
+        let live = in_storm.iter().filter(|c| c.inflight > 0).count();
+        let commit_ok = live > 0;
+        let answered_ok = base.records.len() == cfg.queries;
+        println!(
+            "gate: {name} — {} v2 commits in window ({live} with live state) {}, baseline answered {}/{} {}",
+            in_storm.len(),
+            if commit_ok { "ok" } else { "FAIL" },
+            base.records.len(),
+            cfg.queries,
+            if answered_ok { "ok" } else { "FAIL" },
+        );
+        ok = commit_ok && answered_ok;
     }
-    transcript_ok && tel_diff.is_none() && dump_ok
-}
-
-/// The v2 storm gate: fuzzy cuts commit through the storm window with
-/// live state, and resume from the mid-storm cut reproduces the
-/// uninterrupted storm baseline. Returns whether the gate passed.
-fn storm_gate(cfg: &StormConfig) -> bool {
-    let (from, to) = cfg.storm_window();
-    let base = run_storm_baseline(cfg);
-    let answered_ok = base.outcome.records.len() == cfg.base.queries;
-    let killed = run_storm_killed(cfg);
-    let in_storm = killed.stamps_in(from, to);
-    let commit_ok = !in_storm.is_empty() && in_storm.iter().any(|s| s.inflight > 0);
-    let Some(cp) = killed.outcome.checkpoint.clone() else {
-        println!("gate: Heap storm resume — FAIL (no fuzzy cut committed)");
+    let Some(cp) = killed.checkpoint.clone() else {
+        println!("gate: {name} resume — FAIL (no checkpoint committed before the kill)");
         return false;
     };
     let cp = match round_trip(&cp) {
         Ok(c) => c,
         Err(e) => {
-            println!("gate: Heap storm resume — FAIL (v2 round-trip: {e})");
+            println!("gate: {name} resume — FAIL (checkpoint round-trip: {e})");
             return false;
         }
     };
-    let resumed = run_storm_resumed(cfg, &cp);
-    let transcript_ok = body(&resumed.outcome.transcript) == body(&base.outcome.transcript);
-    let spliced = spliced_q_events_fuzzy(&killed.outcome, &resumed.outcome);
-    let mut base_events = base.outcome.q_events.clone();
+    let resumed = match storm {
+        None => run_resumed(cfg, &cp),
+        Some(s) => run_storm_resumed(s, &cp),
+    };
+    let transcript_ok = body(&resumed.transcript) == body(&base.transcript);
+    let spliced = spliced_q_events_fuzzy(&killed, &resumed);
+    let mut base_events = base.q_events;
     tel::canonical_order(&mut base_events);
     let tel_diff = tel::diff_logs(&spliced, &base_events);
     let dump_ok = tel::dump_binary(&spliced) == tel::dump_binary(&base_events);
     println!(
-        "gate: Heap storm — {} v2 commits in window ({} with live state) {}, baseline answered {}/{} {}",
-        in_storm.len(),
-        in_storm.iter().filter(|s| s.inflight > 0).count(),
-        if commit_ok { "ok" } else { "FAIL" },
-        base.outcome.records.len(),
-        cfg.base.queries,
-        if answered_ok { "ok" } else { "FAIL" },
-    );
-    println!(
-        "gate: Heap storm resume from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
+        "gate: {name} resume from epoch {} ({} records, {} inflight at the cut) — transcript {}, telemetry {} ({} events)",
         cp.epoch,
         cp.records.len(),
         cp.inflight.len(),
@@ -153,9 +127,7 @@ fn storm_gate(cfg: &StormConfig) -> bool {
     if let Some(ref d) = tel_diff {
         println!("  telemetry divergence: {d}");
     }
-    answered_ok
-        && commit_ok
-        && !cp.inflight.is_empty()
+    ok && (storm.is_none() || !cp.inflight.is_empty())
         && transcript_ok
         && tel_diff.is_none()
         && dump_ok
@@ -175,8 +147,8 @@ fn main() {
         shape.rtt.as_nanos() / 1_000_000
     );
     println!(
-        "checkpoint every {} completions, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}{}\n",
-        shape.checkpoint_every,
+        "fuzzy cut every {} ms, kill at {:.2}s, querier down {} ms from {:.1}s, seed {seed}{}\n",
+        shape.cadence.as_nanos() / 1_000_000,
         shape.kill_at.as_secs_f64(),
         shape.down_for.as_nanos() / 1_000_000,
         shape.crash_at.as_secs_f64(),
@@ -198,7 +170,7 @@ fn main() {
     failed |= !rerun_ok;
 
     // Checkpoint/resume gate.
-    failed |= !resume_gate(&shape);
+    failed |= !resume_gate("Heap", &shape, None);
 
     // Querier-crash gate.
     let crashed = run_querier_crash(&shape);
@@ -226,7 +198,6 @@ fn main() {
 
     if storm {
         let shape = storm_cfg_for(seed, smoke);
-        let (from, to) = shape.storm_window();
         println!(
             "\ncrash storm: {:.0}% loss + {} ms (+{} ms jitter) delay from {:.2}s to {:.2}s,",
             shape.loss_rate * 100.0,
@@ -238,33 +209,20 @@ fn main() {
         println!(
             "kill at {:.2}s (mid-storm), v2 cadence {} ms, retransmit budget {} at {} ms base",
             shape.base.kill_at.as_secs_f64(),
-            shape.cadence.as_nanos() / 1_000_000,
+            shape.base.cadence.as_nanos() / 1_000_000,
             shape.retransmit.max_retx,
             shape.retransmit.base_us / 1_000,
         );
 
-        // The starvation row: v1 quiescent checkpointing under the
-        // same storm and kill commits nothing once the storm starts.
-        let v1 = run_storm_killed_v1(&shape);
-        let v1_calm = v1.stamps.iter().filter(|s| s.taken_ns < from).count();
-        let v1_storm = v1.stamps_in(from, to).len();
-        let starve_ok = v1_calm > 0 && v1_storm == 0;
-        println!(
-            "v1-starvation: {v1_calm} calm-prefix commits, {v1_storm} commits in the storm window {}",
-            if starve_ok { "(starved, as designed)" } else { "FAIL" },
-        );
-        failed |= !starve_ok;
-
-        // The v2 leg: commit-through-storm plus kill/resume
-        // byte-identity.
-        failed |= !storm_gate(&shape);
+        failed |= !resume_gate("Heap storm", &shape.base, Some(&shape));
     }
 
-    println!("\ntakeaway: quiescent-cut checkpoints make a killed replay resumable with a");
-    println!("byte-identical virtual-time transcript, and on_restart re-dispatch bounds a");
-    println!("querier power-cycle to the queries whose deadlines fell inside the outage.");
+    println!("\ntakeaway: fuzzy-cut checkpoints make a killed replay resumable with a");
+    println!("byte-identical virtual-time transcript, whatever is in flight at the cut, and");
+    println!("on_restart re-dispatch bounds a querier power-cycle to the queries whose");
+    println!("deadlines fell inside the outage.");
     if storm {
-        println!("under a sustained storm only the v2 fuzzy cut keeps committing: it carries");
+        println!("under a sustained storm the cadence keeps committing: each cut carries");
         println!("per-query in-flight state, so resume re-executes the live queries and still");
         println!("reproduces the uninterrupted run byte-for-byte.");
     }

@@ -41,4 +41,4 @@ pub use agent::{install, install_sharded, ChaosAgent};
 pub use delayed::{DelayedConfig, DelayedOutcome};
 pub use injector::PlanInjector;
 pub use plan::{FaultEvent, FaultPlan, PlanParseError, PlannedFault};
-pub use recovery::{RecoveryConfig, RecoveryOutcome, StormConfig, StormOutcome};
+pub use recovery::{RecoveryConfig, RecoveryOutcome, StormConfig};

@@ -9,17 +9,27 @@
 //!    alone to completion.
 //! 2. **Killed and resumed** — the replay is abandoned at `kill_at`
 //!    (the moral equivalent of `kill -9`), then rebuilt in a *fresh*
-//!    simulator from the last committed checkpoint. The resumed
+//!    simulator from the last committed fuzzy cut. The resumed
 //!    transcript — checkpointed prefix plus replayed remainder — must
 //!    be byte-identical to the baseline's, and so must the drained
-//!    per-query telemetry.
+//!    per-query telemetry (compared in canonical order, see
+//!    [`spliced_q_events_fuzzy`]).
 //! 3. **Querier crash** — a [`FaultEvent::QuerierCrash`] power-cycles
 //!    the querier host mid-replay; `Host::on_restart` re-dispatches
 //!    the dead span and the run still answers (almost) everything.
 //!
+//! The crash-storm study ([`StormConfig`]) repeats runs 1 and 2 under a
+//! sustained loss-plus-delay storm, through the same runner.
+//!
 //! Both the `fig_recovery` scenario binary and the chaos tests drive
 //! this module, so the experiment that produces the figure is exactly
 //! the code the suite pins down.
+//!
+//! Every run dispatches without admission control: a resumed run's
+//! admission window starts emptier than the original's was at the same
+//! instant, so verdicts (and thus transcripts) could diverge.
+//! Fuzzy-cut resume guarantees byte-identity only for unguarded
+//! dispatch.
 
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
@@ -45,14 +55,13 @@ use crate::plan::{FaultEvent, FaultPlan};
 pub struct RecoveryConfig {
     /// Trace length (one unique name per query).
     pub queries: usize,
-    /// Spacing between consecutive queries. Must exceed the RTT so the
-    /// replay reaches quiescent cuts and checkpoints actually commit.
+    /// Spacing between consecutive queries.
     pub query_gap: SimDuration,
     /// Uniform path RTT.
     pub rtt: SimDuration,
-    /// Checkpoint after every this many completions (at the next
-    /// quiescent cut).
-    pub checkpoint_every: u64,
+    /// Fuzzy-cut checkpoint cadence (absolute grid, anchored at the
+    /// origin).
+    pub cadence: SimDuration,
     /// Where the killed run is abandoned (virtual time).
     pub kill_at: SimTime,
     /// When the querier power-cycles in the crash study.
@@ -65,15 +74,14 @@ pub struct RecoveryConfig {
 
 impl RecoveryConfig {
     /// The standard study shape: 400 queries at 50 ms spacing over a
-    /// 40 ms-RTT path, checkpoint every 20 completions, killed at
-    /// 8.31 s (mid-trace, between cuts), querier down for 400 ms from
-    /// t = 5 s.
+    /// 40 ms-RTT path, a fuzzy cut every 250 ms, killed at 8.31 s
+    /// (mid-trace, between cuts), querier down for 400 ms from t = 5 s.
     pub fn standard(seed: u64) -> Self {
         RecoveryConfig {
             queries: 400,
             query_gap: SimDuration::from_millis(50),
             rtt: SimDuration::from_millis(40),
-            checkpoint_every: 20,
+            cadence: SimDuration::from_millis(250),
             kill_at: SimTime::from_secs_f64(8.31),
             crash_at: SimTime::from_secs_f64(5.0),
             down_for: SimDuration::from_millis(400),
@@ -114,6 +122,8 @@ pub struct RecoveryOutcome {
     pub q_events: Vec<tel::RawEvent>,
     /// The last checkpoint the run committed, if any.
     pub checkpoint: Option<Checkpoint>,
+    /// Every checkpoint commit the run made, in commit order.
+    pub stamps: Vec<CheckpointStamp>,
 }
 
 impl RecoveryOutcome {
@@ -126,6 +136,15 @@ impl RecoveryOutcome {
         seqs.sort_unstable();
         seqs.dedup();
         seqs.len() as f64 / cfg.queries as f64
+    }
+
+    /// Commits whose virtual instant falls inside `[from, to]` ns.
+    pub fn stamps_in(&self, from: u64, to: u64) -> Vec<CheckpointStamp> {
+        self.stamps
+            .iter()
+            .filter(|s| s.taken_ns >= from && s.taken_ns <= to)
+            .copied()
+            .collect()
     }
 }
 
@@ -255,89 +274,97 @@ fn outcome(
         transcript: t,
         q_events,
         checkpoint,
+        stamps: Vec::new(),
     }
 }
 
-/// The baseline: a checkpointed replay left alone to completion.
-pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
+/// One checkpointed run, shared by the calm and the storm legs.
+/// `storm` installs that storm's fault plan and UDP retransmission;
+/// `run_until` is the kill instant for abandoned runs or the horizon
+/// for complete ones; `resume_from` rebuilds the client from a cut
+/// first.
+fn run(
+    cfg: &RecoveryConfig,
+    storm: Option<&StormConfig>,
+    label: &str,
+    run_until: SimTime,
+    resume_from: Option<&Checkpoint>,
+) -> RecoveryOutcome {
     tel::set_enabled(true);
     let _ = tel::drain_local(); // clear residue from earlier runs
     let trace = mk_trace(cfg);
     let mut sim = build_sim(cfg);
     let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
     let cp_out = Arc::new(Mutex::new(None));
-    let mut client = SimReplayClient::new(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-    );
-    client.checkpoint_every = cfg.checkpoint_every;
+    let stamps = Arc::new(Mutex::new(Vec::new()));
+    let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
+    let mut client = match resume_from {
+        None => SimReplayClient::new(trace.clone(), server, log.clone()),
+        Some(cp) => match SimReplayClient::resume(trace.clone(), server, log.clone(), cp) {
+            Ok(c) => c,
+            Err(e) => {
+                // A corrupt checkpoint yields an empty outcome whose
+                // gates all fail loudly rather than a panic mid-study.
+                let mut out = outcome(cfg, label, &log, Vec::new(), None);
+                out.transcript.push_str(&format!("resume-error {e}\n"));
+                return out;
+            }
+        },
+    };
+    client.checkpoint_cadence = Some(cfg.cadence);
     client.checkpoint_out = Some(cp_out.clone());
+    client.checkpoint_stamps = Some(stamps.clone());
+    if let Some(storm) = storm {
+        client.udp_retransmit = Some(storm.retransmit);
+        client.retx_seed = storm.retx_seed;
+    }
     let srcs = client.source_addrs();
     let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-    sim.run_until(cfg.horizon());
+    match resume_from {
+        None => SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO),
+        Some(cp) => {
+            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp)
+        }
+    }
+    // Host add order (server, client, agent) is part of the replayed
+    // shape: every run of a study must match or host ids — and with
+    // them the deterministic event order — would drift.
+    if let Some(storm) = storm {
+        agent::install(
+            &mut sim,
+            &storm.plan(),
+            AGENT_ADDR.parse().expect("valid ip"),
+        );
+    }
+    sim.run_until(run_until);
     let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    outcome(cfg, "uninterrupted", &log, drain_q_events(), cp)
+    let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    RecoveryOutcome {
+        stamps,
+        ..outcome(cfg, label, &log, drain_q_events(), cp)
+    }
+}
+
+/// The baseline: a checkpointed replay left alone to completion.
+pub fn run_uninterrupted(cfg: &RecoveryConfig) -> RecoveryOutcome {
+    run(cfg, None, "uninterrupted", cfg.horizon(), None)
 }
 
 /// The killed run: identical to the baseline until `kill_at`, where
 /// the simulator is simply abandoned. Returns the partial outcome —
 /// its `checkpoint` is what a resume starts from, and its `q_events`
-/// up to the checkpoint's cut are the surviving telemetry prefix.
+/// are the surviving telemetry (see [`spliced_q_events_fuzzy`]).
 pub fn run_killed(cfg: &RecoveryConfig) -> RecoveryOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let cp_out = Arc::new(Mutex::new(None));
-    let mut client = SimReplayClient::new(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-    );
-    client.checkpoint_every = cfg.checkpoint_every;
-    client.checkpoint_out = Some(cp_out.clone());
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
-    sim.run_until(cfg.kill_at);
-    let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    outcome(cfg, "killed", &log, drain_q_events(), cp)
+    run(cfg, None, "killed", cfg.kill_at, None)
 }
 
 /// The resumed run: a fresh simulator rebuilt from `cp`. The returned
 /// `records`/`transcript` cover the *whole* trace (checkpointed prefix
 /// plus replayed remainder); `q_events` cover only the post-resume
-/// part — concatenate with the killed run's pre-cut prefix to compare
-/// against the baseline.
+/// part — splice with the killed run's via [`spliced_q_events_fuzzy`]
+/// to compare against the baseline.
 pub fn run_resumed(cfg: &RecoveryConfig, cp: &Checkpoint) -> RecoveryOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(cfg);
-    let mut sim = build_sim(cfg);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let client = match SimReplayClient::resume(
-        trace.clone(),
-        SERVER_ADDR.parse().expect("valid addr"),
-        log.clone(),
-        cp,
-    ) {
-        Ok(c) => c,
-        Err(e) => {
-            // A corrupt checkpoint yields an empty outcome whose gates
-            // all fail loudly rather than a panic mid-study.
-            let mut out = outcome(cfg, "resumed", &log, Vec::new(), None);
-            out.transcript.push_str(&format!("resume-error {e}\n"));
-            return out;
-        }
-    };
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp);
-    sim.run_until(cfg.horizon());
-    outcome(cfg, "resumed", &log, drain_q_events(), Some(cp.clone()))
+    run(cfg, None, "resumed", cfg.horizon(), Some(cp))
 }
 
 /// The querier-crash run: a [`FaultEvent::QuerierCrash`] power-cycles
@@ -369,60 +396,33 @@ pub fn run_querier_crash(cfg: &RecoveryConfig) -> RecoveryOutcome {
     outcome(cfg, "querier_crash", &log, drain_q_events(), None)
 }
 
-/// Telemetry of an interrupted lineage: the killed run's events at or
-/// before the checkpoint cut, then the resumed run's. At a quiescent
-/// cut every `q.*` event at or before `taken_ns` belongs to a
-/// checkpointed (completed) query, so this concatenation reconstructs
-/// exactly what an uninterrupted run would have drained.
-pub fn spliced_q_events(killed: &RecoveryOutcome, resumed: &RecoveryOutcome) -> Vec<tel::RawEvent> {
-    let cut_ns = killed.checkpoint.as_ref().map_or(0, |c| c.taken_ns);
-    let mut events: Vec<tel::RawEvent> = killed
-        .q_events
-        .iter()
-        .filter(|ev| ev.t_ns <= cut_ns)
-        .copied()
-        .collect();
-    events.extend(resumed.q_events.iter().copied());
-    events
-}
-
 // ---------------------------------------------------------------------
-// The crash-storm study (fuzzy-cut checkpoints v2)
+// The crash-storm study
 // ---------------------------------------------------------------------
 
-/// Parameters of the crash-storm study: a calm prefix long enough for
-/// v1's quiescent checkpointing to commit at least once, then a
+/// Parameters of the crash-storm study: a calm prefix, then a
 /// sustained loss-plus-delay storm that outlasts the kill.
 ///
 /// The storm's `extra_delay` exceeds the query gap, so from its onset
-/// every completion happens with later queries already on the wire —
-/// [`SimReplayClient`]'s quiescent cut is *provably* never reached and
-/// v1 commits nothing for the storm's entire duration. The v2 cadence
-/// keeps committing fuzzy cuts regardless, which is the whole point.
-///
-/// The study runs with admission disabled: a resumed run's admission
-/// window starts emptier than the original's was at the same instant,
-/// so verdicts (and thus transcripts) could diverge. Fuzzy-cut resume
-/// guarantees byte-identity only for unguarded dispatch.
+/// every completion happens with later queries already on the wire:
+/// the client never drains, and every cut it commits during the storm
+/// carries live in-flight state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StormConfig {
-    /// The underlying trace/sim shape. `checkpoint_every` drives the
-    /// v1 (starvation) leg; the v2 legs use `cadence` instead.
+    /// The underlying trace/sim shape and checkpoint cadence.
     pub base: RecoveryConfig,
     /// Storm onset (virtual). Placed mid-gap, after the calm prefix.
     pub storm_from: SimTime,
     /// Storm end. Must exceed `base.kill_at`: the kill lands inside
-    /// the storm, which is what starves v1 of a usable checkpoint.
+    /// the storm, so the resume starts from a cut with live state.
     pub storm_until: SimTime,
     /// Per-packet drop probability during the storm.
     pub loss_rate: f64,
     /// Fixed extra one-way delay during the storm. Keep it above
-    /// `base.query_gap` or the v1-starvation guarantee evaporates.
+    /// `base.query_gap` so no storm cut finds the client drained.
     pub extra_delay: SimDuration,
     /// Jitter bound on top of `extra_delay`.
     pub delay_jitter: SimDuration,
-    /// v2 fuzzy-cut cadence (absolute grid, anchored at the origin).
-    pub cadence: SimDuration,
     /// UDP retransmission policy — generous enough that every query
     /// lost to the storm still has budget left when it ends.
     pub retransmit: RetransmitConfig,
@@ -433,7 +433,7 @@ pub struct StormConfig {
 impl StormConfig {
     /// The standard storm: calm until 1.52 s, then 40% loss plus a
     /// 150 ms (+30 ms jitter) delay spike until 6.5 s; killed at
-    /// 4.11 s, mid-storm; fuzzy cuts every 250 ms.
+    /// 4.11 s, mid-storm; the base shape's fuzzy cuts every 250 ms.
     pub fn standard(seed: u64) -> Self {
         StormConfig {
             base: RecoveryConfig {
@@ -445,7 +445,6 @@ impl StormConfig {
             loss_rate: 0.4,
             extra_delay: SimDuration::from_millis(150),
             delay_jitter: SimDuration::from_millis(30),
-            cadence: SimDuration::from_millis(250),
             retransmit: RetransmitConfig {
                 max_retx: 12,
                 base_us: 200_000,
@@ -467,7 +466,7 @@ impl StormConfig {
         }
     }
 
-    /// The fault plan all four runs install: one sustained loss burst
+    /// The fault plan every storm run installs: one sustained loss burst
     /// plus one delay spike, both spanning `[storm_from, storm_until]`.
     /// Packet fates are pure functions of `(plan seed, virtual time,
     /// endpoints, payload)`, so a resumed run re-executing an in-flight
@@ -491,154 +490,43 @@ impl StormConfig {
             )
     }
 
-    /// The `[storm onset, kill]` window (ns) the starvation gate
-    /// counts checkpoint commits in.
+    /// The `[storm onset, kill]` window (ns) the commit-through-storm
+    /// gate counts checkpoint commits in.
     pub fn storm_window(&self) -> (u64, u64) {
         (self.storm_from.as_nanos(), self.base.kill_at.as_nanos())
     }
 }
 
-/// A recovery outcome plus the run's checkpoint-commit history.
-#[derive(Debug, Clone)]
-pub struct StormOutcome {
-    /// Records, transcript, telemetry, and the last checkpoint.
-    pub outcome: RecoveryOutcome,
-    /// Every commit the run made, in commit order.
-    pub stamps: Vec<CheckpointStamp>,
-}
-
-impl StormOutcome {
-    /// Commits whose virtual instant falls inside `[from, to]` ns.
-    pub fn stamps_in(&self, from: u64, to: u64) -> Vec<CheckpointStamp> {
-        self.stamps
-            .iter()
-            .filter(|s| s.taken_ns >= from && s.taken_ns <= to)
-            .copied()
-            .collect()
-    }
-}
-
-/// Which checkpoint mechanism a storm run uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CheckpointMech {
-    /// v1: quiescent cuts after every `checkpoint_every` completions.
-    Quiescent,
-    /// v2: fuzzy cuts on the absolute cadence grid.
-    Fuzzy,
-}
-
-/// One storm run. `run_until` is the kill instant for abandoned runs
-/// or the horizon for complete ones; `resume_from` rebuilds the client
-/// from a fuzzy cut first.
-fn run_storm(
-    cfg: &StormConfig,
-    label: &str,
-    mech: CheckpointMech,
-    run_until: SimTime,
-    resume_from: Option<&Checkpoint>,
-) -> StormOutcome {
-    tel::set_enabled(true);
-    let _ = tel::drain_local();
-    let trace = mk_trace(&cfg.base);
-    let mut sim = build_sim(&cfg.base);
-    let log: LatencyLog = Arc::new(Mutex::new(Vec::new()));
-    let cp_out = Arc::new(Mutex::new(None));
-    let stamps = Arc::new(Mutex::new(Vec::new()));
-    let server: SocketAddr = SERVER_ADDR.parse().expect("valid addr");
-    let mut client = match resume_from {
-        None => SimReplayClient::new(trace.clone(), server, log.clone()),
-        Some(cp) => match SimReplayClient::resume(trace.clone(), server, log.clone(), cp) {
-            Ok(c) => c,
-            Err(e) => {
-                let mut out = outcome(&cfg.base, label, &log, Vec::new(), None);
-                out.transcript.push_str(&format!("resume-error {e}\n"));
-                return StormOutcome {
-                    outcome: out,
-                    stamps: Vec::new(),
-                };
-            }
-        },
-    };
-    match mech {
-        CheckpointMech::Quiescent => client.checkpoint_every = cfg.base.checkpoint_every,
-        CheckpointMech::Fuzzy => client.checkpoint_cadence = Some(cfg.cadence),
-    }
-    client.udp_retransmit = Some(cfg.retransmit);
-    client.retx_seed = cfg.retx_seed;
-    client.checkpoint_out = Some(cp_out.clone());
-    client.checkpoint_stamps = Some(stamps.clone());
-    let srcs = client.source_addrs();
-    let client_id = sim.add_host(&srcs, Box::new(client));
-    match resume_from {
-        None => SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO),
-        Some(cp) => {
-            SimReplayClient::schedule_resume(&mut sim, client_id, &trace, SimTime::ZERO, cp)
-        }
-    }
-    // Host add order (server, client, agent) is part of the replayed
-    // shape: all four runs must match or host ids — and with them the
-    // deterministic event order — would drift.
-    let plan = cfg.plan();
-    agent::install(&mut sim, &plan, AGENT_ADDR.parse().expect("valid ip"));
-    sim.run_until(run_until);
-    let cp = cp_out.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let stamps = stamps.lock().unwrap_or_else(|e| e.into_inner()).clone();
-    StormOutcome {
-        outcome: outcome(&cfg.base, label, &log, drain_q_events(), cp),
-        stamps,
-    }
-}
-
-/// The storm baseline: fuzzy-cut cadence, storm installed, left alone
-/// to completion. Retransmission outlasts the storm, so the whole
-/// trace is still answered.
-pub fn run_storm_baseline(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
+/// The storm baseline: storm installed, left alone to completion.
+/// Retransmission outlasts the storm, so the whole trace is still
+/// answered.
+pub fn run_storm_baseline(cfg: &StormConfig) -> RecoveryOutcome {
+    run(
+        &cfg.base,
+        Some(cfg),
         "storm_baseline",
-        CheckpointMech::Fuzzy,
         cfg.base.horizon(),
         None,
     )
 }
 
-/// The v2 killed run: fuzzy-cut cadence, abandoned mid-storm at
-/// `kill_at`. Its `checkpoint` is a fuzzy cut with live `inflight`
-/// state — what the resume starts from.
-pub fn run_storm_killed(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_killed",
-        CheckpointMech::Fuzzy,
-        cfg.base.kill_at,
-        None,
-    )
+/// The storm's killed run, abandoned mid-storm at `kill_at`. Its
+/// `checkpoint` is a fuzzy cut with live `inflight` state — what the
+/// resume starts from.
+pub fn run_storm_killed(cfg: &StormConfig) -> RecoveryOutcome {
+    run(&cfg.base, Some(cfg), "storm_killed", cfg.base.kill_at, None)
 }
 
-/// The v1 starvation leg: same trace, same storm, same kill — but
-/// quiescent checkpointing. Expect zero commits inside
-/// [`StormConfig::storm_window`]: the delay spike keeps a later query
-/// on the wire at every completion, so the quiescent cut never comes.
-pub fn run_storm_killed_v1(cfg: &StormConfig) -> StormOutcome {
-    run_storm(
-        cfg,
-        "storm_killed_v1",
-        CheckpointMech::Quiescent,
-        cfg.base.kill_at,
-        None,
-    )
-}
-
-/// The resumed run: rebuilt from a fuzzy cut in a fresh simulator with
-/// the same storm installed. Carried queries are re-armed at their
-/// original deadlines and re-execute their full lifecycles under
-/// identical packet fates, so the final transcript is byte-identical
-/// to the baseline's.
-pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
-    run_storm(
-        cfg,
+/// The storm's resumed run: rebuilt from a fuzzy cut in a fresh
+/// simulator with the same storm installed. Carried queries are
+/// re-armed at their original deadlines and re-execute their full
+/// lifecycles under identical packet fates, so the final transcript is
+/// byte-identical to the baseline's.
+pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> RecoveryOutcome {
+    run(
+        &cfg.base,
+        Some(cfg),
         "storm_resumed",
-        CheckpointMech::Fuzzy,
         cfg.base.horizon(),
         Some(cp),
     )
@@ -646,15 +534,15 @@ pub fn run_storm_resumed(cfg: &StormConfig, cp: &Checkpoint) -> StormOutcome {
 
 /// Telemetry of a fuzzy-cut lineage, in canonical order.
 ///
-/// Unlike a quiescent cut, events before the cut are *not* all owned
-/// by completed queries: the killed run's pre-cut events for queries
-/// the checkpoint carries in flight will be re-emitted (at their
-/// original virtual times) by the resumed run's re-execution. So the
-/// splice keeps the killed run's events only for queries the cut had
-/// completed, appends everything the resumed run drained, and sorts
-/// both sides' unions into [`tel::canonical_order`] — re-execution
-/// emits old-timestamped events after newer ones, so raw drain order
-/// is not comparable. Compare against a baseline sorted the same way.
+/// Events before the cut are *not* all owned by completed queries: the
+/// killed run's pre-cut events for queries the checkpoint carries in
+/// flight will be re-emitted (at their original virtual times) by the
+/// resumed run's re-execution. So the splice keeps the killed run's
+/// events only for queries the cut had completed, appends everything
+/// the resumed run drained, and sorts both sides' unions into
+/// [`tel::canonical_order`] — re-execution emits old-timestamped
+/// events after newer ones, so raw drain order is not comparable.
+/// Compare against a baseline sorted the same way.
 pub fn spliced_q_events_fuzzy(
     killed: &RecoveryOutcome,
     resumed: &RecoveryOutcome,
@@ -691,7 +579,8 @@ mod tests {
         assert_eq!(out.records.len(), cfg.queries);
         assert!((out.answered_fraction(&cfg) - 1.0).abs() < 1e-12);
         let cp = out.checkpoint.expect("checkpoints committed");
-        assert!(cp.cursor >= cfg.checkpoint_every, "cursor {}", cp.cursor);
+        assert_eq!(cp.records.len(), cfg.queries);
+        assert!(cp.inflight.is_empty(), "{:?}", cp.inflight);
     }
 
     #[test]
@@ -714,14 +603,16 @@ mod tests {
             base.transcript.lines().skip(2).collect::<Vec<_>>(),
             "transcript bodies diverged"
         );
-        let spliced = spliced_q_events(&killed, &resumed);
+        let spliced = spliced_q_events_fuzzy(&killed, &resumed);
+        let mut base_events = base.q_events;
+        tel::canonical_order(&mut base_events);
         assert_eq!(
-            tel::diff_logs(&spliced, &base.q_events),
+            tel::diff_logs(&spliced, &base_events),
             None,
             "telemetry diverged"
         );
         // And the binary dumps are byte-identical.
-        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base.q_events));
+        assert_eq!(tel::dump_binary(&spliced), tel::dump_binary(&base_events));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use std::collections::HashMap;
 use std::net::IpAddr;
 
-use dns_wire::{Message, Name, Question, RData, Rcode, Record, RecordType};
+use dns_wire::{Message, Name, RData, Rcode, Record, RecordType};
 
-use ldp_cache::{CachedAnswer, FillInfo, ResolverCache};
+use ldp_cache::{negative_ttl, CachedAnswer, FillInfo, ResolverCache};
 
 /// Where iterative queries go: given a target server address and a
 /// query, produce its response (or `None` for timeout/unreachable).
@@ -173,7 +173,7 @@ impl IterativeResolver {
                 return Err(ResolveError::Unreachable);
             };
 
-            match classify(&resp, &current_name, qtype) {
+            match classify(&resp) {
                 Classified::Answer(mut recs) => {
                     // Chase a trailing CNAME if the chain didn't reach
                     // the target type.
@@ -242,14 +242,8 @@ impl IterativeResolver {
                     servers = addrs;
                 }
                 Classified::Negative(rcode, neg_ttl) => {
-                    self.cache.put_negative(
-                        qname,
-                        qtype,
-                        rcode,
-                        Some(neg_ttl),
-                        now,
-                        FillInfo::default(),
-                    );
+                    self.cache
+                        .put_negative(qname, qtype, rcode, neg_ttl, now, FillInfo::default());
                     return Ok(Resolution {
                         rcode,
                         answers,
@@ -292,18 +286,18 @@ enum Classified {
         ns_names: Vec<Name>,
         glue: HashMap<Name, Vec<IpAddr>>,
     },
-    Negative(Rcode, u32),
+    /// Negative answer with its RFC 2308 TTL (`None` without an SOA:
+    /// the cache's named default applies).
+    Negative(Rcode, Option<u32>),
     Broken(&'static str),
 }
 
 /// Classify an authoritative response per the iterative algorithm.
-fn classify(resp: &Message, qname: &Name, qtype: RecordType) -> Classified {
-    let _ = Question::new(qname.clone(), qtype);
+fn classify(resp: &Message) -> Classified {
     match resp.rcode {
         Rcode::NoError => {}
         Rcode::NxDomain => {
-            let neg_ttl = soa_min_ttl(resp).unwrap_or(60);
-            return Classified::Negative(Rcode::NxDomain, neg_ttl);
+            return Classified::Negative(Rcode::NxDomain, negative_ttl(&resp.authorities));
         }
         _ => return Classified::Broken("error rcode"),
     }
@@ -347,15 +341,7 @@ fn classify(resp: &Message, qname: &Name, qtype: RecordType) -> Classified {
         };
     }
     // NODATA.
-    let neg_ttl = soa_min_ttl(resp).unwrap_or(60);
-    Classified::Negative(Rcode::NoError, neg_ttl)
-}
-
-fn soa_min_ttl(resp: &Message) -> Option<u32> {
-    resp.authorities.iter().find_map(|r| match &r.rdata {
-        RData::Soa(soa) => Some(soa.minimum.min(r.ttl)),
-        _ => None,
-    })
+    Classified::Negative(Rcode::NoError, negative_ttl(&resp.authorities))
 }
 
 #[cfg(test)]

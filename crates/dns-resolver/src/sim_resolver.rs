@@ -828,24 +828,34 @@ mod tests {
         )
     }
 
-    fn good_engine() -> Arc<ServerEngine> {
-        let mut zone = Zone::new(name("example."));
-        zone.insert(soa_rec("example.", 300)).unwrap();
-        zone.insert(Record::new(
-            name("www.example."),
-            3600,
-            RData::A("192.0.2.1".parse().unwrap()),
-        ))
-        .unwrap();
-        zone.insert(Record::new(
-            name("w2.example."),
-            3600,
-            RData::A("192.0.2.2".parse().unwrap()),
-        ))
-        .unwrap();
+    /// An engine serving `origin` with `records` (plus an apex SOA).
+    fn zone_engine(origin: &str, records: Vec<Record>) -> Arc<ServerEngine> {
+        let mut zone = Zone::new(name(origin));
+        zone.insert(soa_rec(origin, 300)).unwrap();
+        for r in records {
+            zone.insert(r).unwrap();
+        }
         let mut catalog = Catalog::new();
         catalog.insert(zone);
         Arc::new(ServerEngine::with_catalog(catalog))
+    }
+
+    fn good_engine() -> Arc<ServerEngine> {
+        zone_engine(
+            "example.",
+            vec![
+                Record::new(
+                    name("www.example."),
+                    3600,
+                    RData::A("192.0.2.1".parse().unwrap()),
+                ),
+                Record::new(
+                    name("w2.example."),
+                    3600,
+                    RData::A("192.0.2.2".parse().unwrap()),
+                ),
+            ],
+        )
     }
 
     /// Empty catalog: the server answers, but never with NoError +
@@ -1092,6 +1102,97 @@ mod tests {
         assert_eq!(
             classes,
             vec![AnswerClass::Miss, AnswerClass::Hit, AnswerClass::Miss]
+        );
+    }
+
+    #[test]
+    fn cname_into_a_child_zone_is_chased_through_another_walk() {
+        // The parent answers alias.example with a CNAME into the
+        // delegated sub.example, so the chain stops there: the resolver
+        // must walk again from the hints for the target, follow the
+        // referral to the child, and hand the stub chain + final A.
+        let parent = zone_engine(
+            "example.",
+            vec![
+                Record::new(
+                    name("alias.example."),
+                    3600,
+                    RData::Cname(name("www.sub.example.")),
+                ),
+                Record::new(
+                    name("sub.example."),
+                    3600,
+                    RData::Ns(name("ns.sub.example.")),
+                ),
+                Record::new(
+                    name("ns.sub.example."),
+                    3600,
+                    RData::A("10.0.0.2".parse().unwrap()),
+                ),
+            ],
+        );
+        let child = zone_engine(
+            "sub.example.",
+            vec![Record::new(
+                name("www.sub.example."),
+                3600,
+                RData::A("192.0.2.9".parse().unwrap()),
+            )],
+        );
+        let mut rig = rig(&[Some(parent), Some(child)], |_| {});
+        ask(&mut rig, 30, "alias.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::NoError);
+        let chain: Vec<(String, RData)> = got[0]
+            .answers
+            .iter()
+            .map(|r| (r.name.to_string(), r.rdata.clone()))
+            .collect();
+        assert_eq!(
+            chain,
+            vec![
+                (
+                    "alias.example.".to_string(),
+                    RData::Cname(name("www.sub.example."))
+                ),
+                (
+                    "www.sub.example.".to_string(),
+                    RData::A("192.0.2.9".parse().unwrap())
+                ),
+            ]
+        );
+        let rx: Vec<u64> = rig
+            .server_ids
+            .iter()
+            .map(|&id| rig.sim.stats(id).udp_rx)
+            .collect();
+        assert_eq!(rx, vec![2, 1], "alias + target referral, then the child");
+    }
+
+    #[test]
+    fn cname_loop_servfails_after_the_hop_limit() {
+        // x -> y -> x: every response is a CNAME chain that never
+        // reaches an A, so the resolver re-asks until the 8-hop cut-off
+        // and then SERVFAILs instead of looping forever.
+        let looped = zone_engine(
+            "example.",
+            vec![
+                Record::new(name("x.example."), 3600, RData::Cname(name("y.example."))),
+                Record::new(name("y.example."), 3600, RData::Cname(name("x.example."))),
+            ],
+        );
+        let mut rig = rig(&[Some(looped)], |_| {});
+        ask(&mut rig, 31, "x.example.");
+        rig.sim.run();
+        let got = rig.got.lock().expect("capture lock");
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].rcode, Rcode::ServFail);
+        assert_eq!(
+            rig.sim.stats(rig.server_ids[0]).udp_rx,
+            9,
+            "the first ask plus one re-ask per hop up to the limit"
         );
     }
 

@@ -1,13 +1,12 @@
 //! The versioned replay checkpoint: progress a killed run can resume
 //! from.
 //!
-//! **v1 — quiescent cut.** A v1 checkpoint is taken at a virtual-time
-//! instant with no queries in flight, so it fully determines the
-//! remaining run: the trace cursor says which queries are still owed,
-//! the completed records are carried verbatim, and the counters seed
-//! the resumed client's state. Its weakness is the commit condition
-//! itself: under sustained loss a quiescent cut never forms, so a kill
-//! mid-storm discards everything since the last lull.
+//! **v1 — no in-flight section.** A v1 checkpoint carries the trace
+//! cursor, the completed records verbatim, and the counters that seed
+//! the resumed run's state, but nothing about outstanding queries. The
+//! live replay engine commits one every N send records, whatever is
+//! still in flight: its cursor is the contiguous prefix of sent seqs,
+//! and a resume re-sends everything from the cursor on.
 //!
 //! **v2 — fuzzy cut.** A v2 checkpoint commits at *any* virtual
 //! instant, on a fixed cadence, by additionally carrying one
@@ -39,7 +38,7 @@
 //! A v2 document's sections are strictly ordered (`counter*`, `rec*`,
 //! `inflight*`); v1 documents keep their historical lenient ordering
 //! for back-compat, and parse into a [`Checkpoint`] with an empty
-//! in-flight set — a v1 quiescent cut *is* a fuzzy cut with nothing in
+//! in-flight set — a v1 document reads as a fuzzy cut with nothing in
 //! flight, so upgrade reads are free.
 
 use std::fmt;
@@ -49,15 +48,14 @@ use crate::inflight::InflightEntry;
 /// One resumable snapshot of replay progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
-    /// Format version this checkpoint serializes as: 1 (quiescent
-    /// cut, no in-flight state) or 2 (fuzzy cut).
+    /// Format version this checkpoint serializes as: 1 (no in-flight
+    /// state) or 2 (fuzzy cut).
     pub version: u8,
     /// Checkpoint ordinal within the run (1 = first cut).
     pub epoch: u32,
     /// Virtual time of the cut, nanoseconds since simulation start.
-    /// In a v1 document every uncompleted query's deadline is strictly
-    /// later; in a v2 document in-flight deadlines may be earlier (the
-    /// query was already dispatched when the cut committed).
+    /// In a v2 document in-flight deadlines may be earlier (the query
+    /// was already dispatched when the cut committed).
     pub taken_ns: u64,
     /// Next trace sequence number to dispatch: seqs `< cursor` are
     /// accounted for (completed, recorded as shed, or carried on an
@@ -341,7 +339,7 @@ mod tests {
 
     #[test]
     fn v1_reads_as_empty_inflight_upgrade() {
-        // A v1 quiescent cut is a fuzzy cut with nothing in flight:
+        // A v1 document reads as a fuzzy cut with nothing in flight:
         // reading it and re-writing as v2 is lossless.
         let text = sample().to_text().expect("ok");
         let mut up = Checkpoint::from_text(&text).expect("parses");

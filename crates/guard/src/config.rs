@@ -98,8 +98,9 @@ impl Default for RetransmitConfig {
 /// budgets, and the server-side overload response.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct GuardConfig {
-    /// Take a checkpoint after every `checkpoint_every` completed
-    /// queries (at the next quiescent cut). `0` disables
+    /// Live engine only: commit a v1 checkpoint (contiguous-prefix
+    /// cursor, no in-flight section) after every `checkpoint_every`
+    /// send records, whatever is still in flight. `0` disables
     /// checkpointing.
     pub checkpoint_every: u64,
     /// Querier-slot supervision (heartbeats, restart budgets).

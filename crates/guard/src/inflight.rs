@@ -1,10 +1,10 @@
 //! Per-query in-flight state for fuzzy-cut (v2) checkpoints.
 //!
-//! A v1 checkpoint only commits at a quiescent cut, so it never needs
-//! to describe an outstanding query. A v2 "fuzzy cut" commits at *any*
-//! virtual instant — storms included — by carrying one [`InflightEntry`]
-//! per query that has been dispatched (or parked by admission) but not
-//! yet completed. Each entry pins everything a resumed run needs to
+//! A v1 checkpoint describes no outstanding query: the live engine's
+//! contiguous-prefix cut re-sends everything from its cursor on. A v2
+//! "fuzzy cut" commits at *any* virtual instant — storms included — by
+//! carrying one [`InflightEntry`] per query that has been dispatched
+//! (or parked by admission) but not yet completed. Each entry pins everything a resumed run needs to
 //! re-execute that query deterministically:
 //!
 //! - `seq` and the query's *original* virtual send deadline, so the

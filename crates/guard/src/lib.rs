@@ -14,9 +14,10 @@
 //!   line-based snapshot of replay progress (trace cursor, completed
 //!   records, counters, virtual-time epoch) with an exact text
 //!   round-trip, so a killed run resumes from the last cut and
-//!   replays a byte-identical virtual-time transcript. v1 commits at
-//!   quiescent cuts only; v2 ("fuzzy cut") commits at any instant by
-//!   carrying per-query in-flight state.
+//!   replays a byte-identical virtual-time transcript. v1 carries no
+//!   in-flight state (the live engine's contiguous-prefix cut); v2
+//!   ("fuzzy cut") carries per-query in-flight state, so it can commit
+//!   at any instant.
 //! - [`inflight`]: [`InflightEntry`] — the per-query state a v2
 //!   checkpoint carries for each outstanding query (original send
 //!   deadline, elapsed retransmits, retry-budget snapshot, admission

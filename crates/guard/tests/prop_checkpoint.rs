@@ -1,6 +1,6 @@
 //! Property tests: any well-formed `Checkpoint` survives a text
 //! round-trip exactly — `from_text(to_text(cp)) == cp` — for both the
-//! v1 quiescent format and the v2 fuzzy-cut format with arbitrary
+//! v1 format and the v2 fuzzy-cut format with arbitrary
 //! in-flight entries, and the serializer is a fixed point (re-encoding
 //! the parse changes nothing).
 
@@ -84,7 +84,7 @@ fn arb_v2_checkpoint(r: &mut StdRng) -> Checkpoint {
     }
 }
 
-/// A v1 quiescent checkpoint: same shape, no in-flight section (v1
+/// A v1 checkpoint: same shape, no in-flight section (v1
 /// cannot represent one — `to_text` refuses).
 fn arb_v1_checkpoint(r: &mut StdRng) -> Checkpoint {
     let mut cp = arb_v2_checkpoint(r);

@@ -315,10 +315,15 @@ pub fn replay_with_clock(
     // record_tx and deadlock the whole tree. It doubles as the
     // checkpointer: it is the only thread that sees completions, so
     // the contiguous-prefix cursor lives here.
-    let start_seq = config.resume_from.as_ref().map_or(0, |c| c.cursor);
+    let resume = config.resume_from.as_ref();
+    let start_seq = resume.map_or(0, |c| c.cursor);
     let cp_every = config.guard.checkpoint_every;
     let cp_out = config.checkpoint_out.clone();
-    let cp_epoch = config.resume_from.as_ref().map_or(0, |c| c.epoch);
+    // A resumed run continues the checkpoint's lineage: its epochs and
+    // counters pick up where the killed run's last cut left them.
+    let cp_epoch = resume.map_or(0, |c| c.epoch);
+    let sent_base = resume.and_then(|c| c.counter("sent")).unwrap_or(0);
+    let errors_base = resume.and_then(|c| c.counter("errors")).unwrap_or(0);
     let collector = {
         let clock = clock.clone();
         let errors = errors.clone();
@@ -349,8 +354,11 @@ pub fn replay_with_clock(
                                 taken_ns: clock.now_us().saturating_mul(1_000),
                                 cursor: next_contig,
                                 counters: vec![
-                                    ("sent".into(), sent.len() as u64 + 1),
-                                    ("errors".into(), errors.load(Ordering::Relaxed)),
+                                    ("sent".into(), sent_base + sent.len() as u64 + 1),
+                                    (
+                                        "errors".into(),
+                                        errors_base + errors.load(Ordering::Relaxed),
+                                    ),
                                 ],
                                 records: Vec::new(),
                                 inflight: Vec::new(),
@@ -1042,6 +1050,51 @@ mod tests {
             "virtual elapsed {:?}",
             report.elapsed
         );
+    }
+
+    /// Kill-and-resume on the live engine: a run resumed from a cut
+    /// sends nothing below its cursor and continues the cut's epoch
+    /// and counter lineage, so its own cuts count the whole trace.
+    #[test]
+    fn resume_from_checkpoint_continues_the_cut_lineage() {
+        let _s = serial();
+        let (_sink, addr) = sink_socket();
+        let trace = mk_trace(100, 1000);
+        let cp_out = Arc::new(Mutex::new(None));
+        let config = ReplayConfig {
+            target_udp: addr,
+            target_tcp: addr,
+            fast_mode: true,
+            guard: GuardConfig {
+                checkpoint_every: 10,
+                ..GuardConfig::default()
+            },
+            checkpoint_out: Some(cp_out.clone()),
+            ..Default::default()
+        };
+        // The "killed" run: only the first 60 queries go out.
+        replay(&trace[..60], &config);
+        let cp = cp_out.lock().unwrap().take().expect("a cut committed");
+
+        let resumed = ReplayConfig {
+            resume_from: Some(cp.clone()),
+            ..config
+        };
+        let report = replay(&trace, &resumed);
+        assert!(
+            report.sent.iter().all(|r| r.seq >= cp.cursor),
+            "re-sent a seq below cursor {}",
+            cp.cursor
+        );
+        assert_eq!(report.resumed_from, cp.cursor);
+        let last = cp_out.lock().unwrap().take().expect("the resumed run cut");
+        assert!(
+            last.epoch > cp.epoch,
+            "epoch {} after {}",
+            last.epoch,
+            cp.epoch
+        );
+        assert_eq!(last.counter("sent"), Some(100));
     }
 
     /// Mock writer scripted with per-call results, for send_framed.

@@ -90,17 +90,14 @@ pub type LatencyLog = Arc<Mutex<Vec<LatencyRecord>>>;
 /// [`SimReplayClient::checkpoint_stamps`] at commit time. The document
 /// itself replaces its predecessor in `checkpoint_out`; the stamps
 /// keep the whole commit history, which is what the crash-storm study
-/// gates on ("v1 commits nothing during the storm, v2 keeps
-/// committing").
+/// gates on ("cuts keep committing through the storm").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointStamp {
-    /// Checkpoint format version committed (1 = quiescent, 2 = fuzzy).
-    pub version: u8,
     /// Checkpoint ordinal.
     pub epoch: u32,
     /// Virtual commit time (ns).
     pub taken_ns: u64,
-    /// Outstanding queries carried (always 0 for v1).
+    /// Outstanding queries carried.
     pub inflight: usize,
 }
 
@@ -214,16 +211,10 @@ pub struct SimReplayClient {
     /// Mirror of the shed seqs for callers that need them after the
     /// client has been moved into the simulator.
     pub shed_out: Option<Arc<Mutex<Vec<u64>>>>,
-    /// Take a checkpoint after every this many completions, at the
-    /// next quiescent cut (no query in flight, retrying, or parked).
-    /// `0` disables checkpointing.
-    pub checkpoint_every: u64,
     /// Commit a v2 fuzzy-cut checkpoint every this much virtual time,
     /// on an absolute grid anchored at [`SimReplayClient::origin`]
     /// (ticks at `origin + k·cadence`), regardless of what is in
-    /// flight — the storm-proof alternative to `checkpoint_every`'s
-    /// quiescent cuts. `None` disables cadence checkpointing. Use one
-    /// mechanism or the other: both write into `checkpoint_out`.
+    /// flight. `None` disables checkpointing.
     pub checkpoint_cadence: Option<netsim::SimDuration>,
     /// UDP retransmission policy (`None` = no retransmits: a lost UDP
     /// query is lost, the historical behavior). Each query draws its
@@ -240,11 +231,9 @@ pub struct SimReplayClient {
     /// Latest committed checkpoint; each cut replaces its predecessor
     /// (a resume only ever wants the newest one).
     pub checkpoint_out: Option<Arc<Mutex<Option<Checkpoint>>>>,
-    /// Commit count per checkpoint mechanism, for studies that gate on
-    /// "v1 starves under a storm, v2 does not": (quiescent commits,
-    /// fuzzy commits) with their virtual commit times (ns).
+    /// Every commit's metadata, in commit order, for studies that gate
+    /// on when cuts committed and what they carried.
     pub checkpoint_stamps: Option<Arc<Mutex<Vec<CheckpointStamp>>>>,
-    completed_since_cp: u64,
     epoch: u32,
     /// Virtual-time origin of the schedule — set this to the `start`
     /// passed to [`SimReplayClient::schedule`]. Admission deadlines and
@@ -281,7 +270,6 @@ impl SimReplayClient {
             admission: None,
             parked: BTreeSet::new(),
             shed_out: None,
-            checkpoint_every: 0,
             checkpoint_cadence: None,
             udp_retransmit: None,
             retx_seed: 0,
@@ -289,7 +277,6 @@ impl SimReplayClient {
             cadence_armed: false,
             checkpoint_out: None,
             checkpoint_stamps: None,
-            completed_since_cp: 0,
             epoch: 0,
             origin: SimTime::ZERO,
             restarts: 0,
@@ -306,12 +293,13 @@ impl SimReplayClient {
     /// the resumed transcript is byte-identical to an uninterrupted
     /// same-seed run.
     ///
-    /// Works for both versions. A v2 fuzzy cut's counters are
-    /// *committed* values and its outstanding queries are re-executed
-    /// from their original deadlines (carried on `inflight` lines), so
-    /// their sends/retries are re-counted by the resumed run itself —
-    /// no special handling needed here beyond seeding the same
-    /// `retx_seed`/`udp_retransmit` policy the original run used.
+    /// A fuzzy cut's counters are *committed* values and its
+    /// outstanding queries are re-executed from their original
+    /// deadlines (carried on `inflight` lines), so their sends/retries
+    /// are re-counted by the resumed run itself — no special handling
+    /// needed here beyond seeding the same `retx_seed`/`udp_retransmit`
+    /// policy the original run used. A v1 document (no `inflight`
+    /// section) resumes the same way with nothing carried.
     pub fn resume(
         trace: Vec<TraceEntry>,
         server: SocketAddr,
@@ -362,9 +350,9 @@ impl SimReplayClient {
     /// every one of them is in its future), which is what makes the
     /// resumed transcript byte-identical to an uninterrupted run.
     ///
-    /// For a v2 fuzzy cut the checkpoint's `inflight` lines are
-    /// authoritative: each carried query is re-armed at the deadline
-    /// the checkpoint recorded for it (its *original* send instant —
+    /// The checkpoint's `inflight` lines are authoritative: each
+    /// carried query is re-armed at the deadline the checkpoint
+    /// recorded for it (its *original* send instant —
     /// re-execution, not continuation: the fresh simulator re-runs the
     /// query's full lifecycle, and because every packet fate and
     /// jitter draw is a pure function of seed and virtual time, the
@@ -530,7 +518,7 @@ impl SimReplayClient {
         }
     }
 
-    fn complete(&mut self, pending: Pending, now_s: f64, now_ns: u64, bytes: usize) {
+    fn complete(&mut self, pending: Pending, now_s: f64, bytes: usize) {
         // An answer — possibly to an earlier attempt — cancels any
         // retry chain and stray duplicate pendings for this query.
         let seq = pending.seq;
@@ -554,65 +542,6 @@ impl SimReplayClient {
         if let Some(adm) = &mut self.admission {
             adm.complete();
         }
-        if self.checkpoint_every > 0 {
-            self.completed_since_cp += 1;
-            if self.completed_since_cp >= self.checkpoint_every && self.quiescent() {
-                self.completed_since_cp = 0;
-                self.take_checkpoint(now_ns);
-            }
-        }
-    }
-
-    /// A quiescent cut: nothing in flight, retrying, or parked, so
-    /// every telemetry event at or before "now" belongs to a completed
-    /// query and the checkpointed log is a clean prefix.
-    fn quiescent(&self) -> bool {
-        self.pending_udp.is_empty()
-            && self.pending_tcp.is_empty()
-            && self.retrying.is_empty()
-            && self.parked.is_empty()
-    }
-
-    /// Commit a v1 checkpoint of the current progress into
-    /// `checkpoint_out`, replacing the previous one. Only called at a
-    /// quiescent cut, so there is no in-flight state to carry.
-    fn take_checkpoint(&mut self, taken_ns: u64) {
-        let Some(out) = self.checkpoint_out.clone() else {
-            return;
-        };
-        self.epoch += 1;
-        let records: Vec<String> = self
-            .log
-            .lock()
-            .unwrap()
-            .iter()
-            .map(record_to_line)
-            .collect();
-        let cursor = {
-            let mut c = 0u64;
-            while self.completed.contains(&c) {
-                c += 1;
-            }
-            c
-        };
-        let shed = self.admission.as_ref().map_or(0, |a| a.shed_count());
-        let cp = Checkpoint {
-            version: 1,
-            epoch: self.epoch,
-            taken_ns,
-            cursor,
-            counters: vec![
-                ("sent".into(), self.sent),
-                ("connects".into(), self.connects),
-                ("retries".into(), self.retries),
-                ("shed".into(), shed),
-                ("restarts".into(), self.restarts as u64),
-            ],
-            records,
-            inflight: Vec::new(),
-        };
-        self.stamp(1, taken_ns, 0);
-        *out.lock().unwrap() = Some(cp);
     }
 
     /// Seqs dispatched-or-parked but not completed — the set a fuzzy
@@ -699,21 +628,14 @@ impl SimReplayClient {
             records,
             inflight,
         };
-        self.stamp(2, taken_ns, cp.inflight.len());
-        *out.lock().unwrap() = Some(cp);
-    }
-
-    /// Record one commit into the stamp history, if a collector is
-    /// attached.
-    fn stamp(&self, version: u8, taken_ns: u64, inflight: usize) {
         if let Some(stamps) = &self.checkpoint_stamps {
             stamps.lock().unwrap().push(CheckpointStamp {
-                version,
                 epoch: self.epoch,
                 taken_ns,
-                inflight,
+                inflight: cp.inflight.len(),
             });
         }
+        *out.lock().unwrap() = Some(cp);
     }
 
     /// Arm the cadence tick chain (once) at the next absolute grid
@@ -755,7 +677,7 @@ impl Host for SimReplayClient {
                     data.len() as u64,
                 );
             }
-            self.complete(p, ctx.now().as_secs_f64(), ctx.now().as_nanos(), data.len());
+            self.complete(p, ctx.now().as_secs_f64(), data.len());
         }
     }
 
@@ -781,7 +703,7 @@ impl Host for SimReplayClient {
                     if tel::enabled() {
                         tel::mark_at(now_ns, q_kinds().response, p.seq, bytes as u64);
                     }
-                    self.complete(p, now, now_ns, bytes);
+                    self.complete(p, now, bytes);
                 }
                 // No-reuse ablation: close as soon as the (single)
                 // outstanding query on this throwaway connection is
@@ -1223,13 +1145,14 @@ mod tests {
     }
 
     /// One full checkpointed run: returns (transcript lines, last
-    /// committed checkpoint). When `kill_at_s` is set the simulator is
-    /// abandoned at that virtual time — the moral equivalent of
-    /// `kill -9` on the replay process.
-    fn checkpointed_run(kill_at_s: Option<f64>) -> (Vec<String>, Option<Checkpoint>) {
-        // Gap (50 ms) > RTT (40 ms): each query completes before the
-        // next is sent, so every completion is a quiescent cut and
-        // checkpoints actually commit.
+    /// committed checkpoint, commit history). When `kill_at_s` is set
+    /// the simulator is abandoned at that virtual time — the moral
+    /// equivalent of `kill -9` on the replay process.
+    fn checkpointed_run(
+        kill_at_s: Option<f64>,
+    ) -> (Vec<String>, Option<Checkpoint>, Vec<CheckpointStamp>) {
+        // Gap 50 ms, RTT 40 ms, cadence 25 ms: every odd grid tick
+        // lands while a query is on the wire.
         let trace = mk_trace(40, 50_000, 4);
         let mut sim = Simulator::new(
             Topology::uniform(PathConfig {
@@ -1250,37 +1173,40 @@ mod tests {
         );
         let log: LatencyLog = Arc::new(Mutex::new(vec![]));
         let cp_out = Arc::new(Mutex::new(None));
+        let stamps = Arc::new(Mutex::new(Vec::new()));
         let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
-        client.checkpoint_every = 5;
+        client.checkpoint_cadence = Some(SimDuration::from_micros(25_000));
         client.checkpoint_out = Some(cp_out.clone());
+        client.checkpoint_stamps = Some(stamps.clone());
         let srcs = client.source_addrs();
         let client_id = sim.add_host(&srcs, Box::new(client));
         SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         sim.run_until(SimTime::from_secs_f64(kill_at_s.unwrap_or(30.0)));
         let lines = log.lock().unwrap().iter().map(record_to_line).collect();
         let cp = cp_out.lock().unwrap().clone();
-        (lines, cp)
+        let stamps = stamps.lock().unwrap().clone();
+        (lines, cp, stamps)
     }
 
     /// The tentpole guarantee: kill a checkpointed run mid-replay,
     /// resume from the last committed checkpoint in a fresh simulator,
     /// and the full transcript (checkpointed prefix + resumed
-    /// remainder) is byte-identical to an uninterrupted same-seed run.
+    /// remainder) is byte-identical to an uninterrupted same-seed run —
+    /// even though the cut carries a query in flight and the client
+    /// has no retransmit budget to fall back on.
     #[test]
     fn kill_and_resume_replays_a_byte_identical_transcript() {
-        let (uninterrupted, _) = checkpointed_run(None);
+        let (uninterrupted, _, _) = checkpointed_run(None);
         assert_eq!(uninterrupted.len(), 40);
 
-        // Kill at 0.62 s: 12 queries are done, the checkpoint holds the
-        // first 10, and everything after the cut is lost with the
-        // process.
-        let (_, cp) = checkpointed_run(Some(0.62));
+        // Kill at 0.53 s: the last cut (0.525 s) holds the first 10
+        // answers and carries seq 10 (sent at 0.500 s, answered at
+        // 0.540 s) in flight; everything after the cut is lost with
+        // the process.
+        let (_, cp, _) = checkpointed_run(Some(0.53));
         let cp = cp.expect("a checkpoint committed before the kill");
-        assert!(
-            cp.cursor >= 5 && cp.cursor < 40,
-            "mid-run cut, got {}",
-            cp.cursor
-        );
+        assert_eq!(cp.inflight.len(), 1, "{:?}", cp.inflight);
+        assert_eq!(cp.inflight[0].seq, 10);
         // The checkpoint survives serialization.
         let cp = Checkpoint::from_text(&cp.to_text().unwrap()).unwrap();
 
@@ -1460,43 +1386,10 @@ mod tests {
     /// document round-trips through its text form.
     #[test]
     fn fuzzy_cadence_commits_with_inflight_state() {
-        // Gap 50 ms, RTT 40 ms, cadence 25 ms: every odd grid tick
-        // lands while a query is on the wire.
-        let trace = mk_trace(40, 50_000, 4);
-        let mut sim = Simulator::new(
-            Topology::uniform(PathConfig {
-                rtt: SimDuration::from_millis(40),
-                bandwidth_bps: None,
-                loss: 0.0,
-            }),
-            SimConfig::default(),
-        );
-        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
-        sim.add_host(
-            &[server_addr.ip()],
-            Box::new(SimDnsServer::new(
-                engine(),
-                server_addr,
-                Some(SimDuration::from_secs(30)),
-            )),
-        );
-        let log: LatencyLog = Arc::new(Mutex::new(vec![]));
-        let cp_out = Arc::new(Mutex::new(None));
-        let stamps = Arc::new(Mutex::new(Vec::new()));
-        let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
-        client.checkpoint_cadence = Some(SimDuration::from_micros(25_000));
-        client.checkpoint_out = Some(cp_out.clone());
-        client.checkpoint_stamps = Some(stamps.clone());
-        let srcs = client.source_addrs();
-        let client_id = sim.add_host(&srcs, Box::new(client));
-        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
         // Kill right after the 0.525 s tick: seq 10 (sent at 0.500,
         // answered at 0.540) is mid-flight at that cut.
-        sim.run_until(SimTime::from_secs_f64(0.53));
-
-        let stamps = stamps.lock().unwrap().clone();
+        let (_, cp, stamps) = checkpointed_run(Some(0.53));
         assert!(!stamps.is_empty(), "cadence commits happened");
-        assert!(stamps.iter().all(|s| s.version == 2));
         // Grid anchoring: every commit instant is a multiple of 25 ms.
         assert!(
             stamps.iter().all(|s| s.taken_ns % 25_000_000 == 0),
@@ -1507,7 +1400,7 @@ mod tests {
             "some cut caught a query mid-flight"
         );
 
-        let cp = cp_out.lock().unwrap().clone().expect("a committed cut");
+        let cp = cp.expect("a committed cut");
         assert_eq!(cp.version, 2);
         assert_eq!(cp.taken_ns, 525_000_000);
         assert_eq!(cp.inflight.len(), 1, "{:?}", cp.inflight);

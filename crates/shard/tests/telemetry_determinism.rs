@@ -13,6 +13,7 @@
 use std::net::{IpAddr, SocketAddr};
 use std::sync::{Arc, Mutex};
 
+use ldp_rng::splitmix64 as mix;
 use ldp_shard::{ShardPlan, ShardedSimulator};
 use ldp_telemetry as tel;
 use netsim::{
@@ -71,12 +72,6 @@ fn config() -> SimConfig {
         seed: 0x5EED5,
         ..SimConfig::default()
     }
-}
-
-fn mix(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^ (z >> 27)
 }
 
 enum AnySim {

@@ -20,6 +20,9 @@ cargo fmt --all --check || fail=1
 note "cargo clippy (denies unwrap/expect/panic in hot-path crates)"
 cargo clippy --workspace --all-targets -- -D warnings || fail=1
 
+note "cargo doc (rustdoc warnings, e.g. broken intra-doc links, are fatal)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q || fail=1
+
 note "cargo build --release (ldp-lint and the bench binaries)"
 cargo build --release -q -p ldp-lint -p ldp-bench --bins || exit 2
 bin=${CARGO_TARGET_DIR:-$root/target}/release
