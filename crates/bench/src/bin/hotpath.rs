@@ -275,6 +275,57 @@ fn server_throughput(iters: u64) -> (f64, f64) {
     (template_aps, general_aps)
 }
 
+/// General-path answers/sec for the B-Root shape: unique junk names
+/// (NXDOMAIN, the bulk of a root server's load) against a root zone of
+/// SOA plus three TLD delegations. Templates cannot serve these, so
+/// this is the whole per-query cost of the what-if server.
+fn nxdomain_throughput(iters: u64) -> f64 {
+    let name = |s: &str| -> dns_wire::Name { s.parse().expect("name") };
+    let mut root = Zone::new(dns_wire::Name::root());
+    root.insert(Record::new(
+        dns_wire::Name::root(),
+        86400,
+        RData::Soa(Soa {
+            mname: name("a.root-servers.net"),
+            rname: name("nstld.verisign-grs.com"),
+            serial: 1,
+            refresh: 1800,
+            retry: 900,
+            expire: 604_800,
+            minimum: 86400,
+        }),
+    ))
+    .expect("soa");
+    for tld in ["com", "net", "org"] {
+        root.insert(Record::new(
+            name(tld),
+            172_800,
+            RData::Ns(name("a.gtld-servers.net")),
+        ))
+        .expect("ns");
+    }
+    let mut cat = Catalog::new();
+    cat.insert(root);
+    let engine = ServerEngine::with_catalog(cat);
+    let src: IpAddr = "10.2.0.1".parse().expect("src");
+    let distinct = 16_384usize;
+    let queries: Vec<Message> = (0..distinct)
+        .map(|i| Message::query(i as u16, name(&format!("jq{i:x}z.local")), RecordType::A))
+        .collect();
+    let probe = engine.answer(src, &queries[0]);
+    assert_eq!(
+        probe.rcode,
+        dns_wire::Rcode::NxDomain,
+        "junk names are NXDOMAIN"
+    );
+    let t0 = Instant::now();
+    for i in 0..iters {
+        let q = &queries[(i as usize) % distinct];
+        black_box(engine.answer_udp(src, black_box(q)));
+    }
+    iters as f64 / t0.elapsed().as_secs_f64()
+}
+
 /// Resolver-cache ops/sec on the three answer paths the delayed-hits
 /// study classifies: plain hits (`get` on a warm store), delayed hits
 /// (joining an in-flight resolution in the outstanding table), and full
@@ -554,6 +605,8 @@ fn main() {
         "  template {template_aps:>12.0} ans/s   general {general_aps:>12.0} ans/s   (speedup {:.2}×)",
         template_aps / general_aps
     );
+    let nxdomain_aps = nxdomain_throughput(iters);
+    println!("  NXDOMAIN (root zone, unique junk names) {nxdomain_aps:>12.0} ans/s");
 
     // --- Resolver cache: hit / delayed-hit / miss path ops/sec. ---
     println!("resolver cache: {iters} ops × 3 answer paths…");
@@ -564,7 +617,7 @@ fn main() {
 
     // Hand-rolled JSON: the workspace has no serializer dependency.
     let json = format!(
-        "{{\n  \"sim\": {{\n    \"events\": {sim_events},\n    \"events_per_sec\": {sim_eps:.0},\n    \"raw_queue_ops_per_sec\": {raw_ops_per_sec:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
+        "{{\n  \"sim\": {{\n    \"events\": {sim_events},\n    \"events_per_sec\": {sim_eps:.0},\n    \"raw_queue_ops_per_sec\": {raw_ops_per_sec:.0},\n    \"telemetry_events_per_sec\": {tel_eps:.0},\n    \"telemetry_overhead_pct\": {telemetry_overhead_pct:.2},\n    \"sharded_events_per_sec_1\": {:.0},\n    \"sharded_events_per_sec_2\": {:.0},\n    \"sharded_events_per_sec_8\": {:.0}\n  }},\n  \"replay\": {{\n    \"queries\": {sent},\n    \"queries_per_sec\": {qps:.0},\n    \"guarded_queries_per_sec\": {guard_qps:.0},\n    \"guard_overhead_pct\": {guard_overhead_pct:.2},\n    \"errors\": {errors}\n  }},\n  \"guard\": {{\n    \"fuzzy_checkpoint_per_sec\": {fuzzy_cp_ps:.0}\n  }},\n  \"wire\": {{\n    \"message_bytes\": {msg_size},\n    \"encode_msgs_per_sec\": {enc_mps:.0},\n    \"decode_msgs_per_sec\": {dec_mps:.0},\n    \"encode_mb_per_sec\": {:.1},\n    \"decode_mb_per_sec\": {:.1}\n  }},\n  \"server\": {{\n    \"template_answers_per_sec\": {template_aps:.0},\n    \"general_answers_per_sec\": {general_aps:.0},\n    \"nxdomain_answers_per_sec\": {nxdomain_aps:.0},\n    \"template_speedup\": {:.3}\n  }},\n  \"resolver\": {{\n    \"cache_hit_per_sec\": {cache_hit_ps:.0},\n    \"cache_delayed_hit_per_sec\": {cache_delayed_ps:.0},\n    \"cache_miss_per_sec\": {cache_miss_ps:.0}\n  }}\n}}\n",
         sharded_eps[0],
         sharded_eps[1],
         sharded_eps[2],

@@ -20,15 +20,32 @@ pub(crate) const ROOT_SID: u32 = 0;
 /// long-lived scratches fed adversarial name churn.
 const MAX_INTERNED: usize = 1 << 16;
 
-/// FNV-1a over a byte string.
+/// Hash of a label, a word at a time: each 8-, 4-, 2- and 1-byte piece
+/// is rotated in and multiplied (the FxHash step), then the high bits
+/// are folded down so the low bits that index the tables depend on
+/// every byte.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
+fn label_hash(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut h = bytes.len() as u64;
+    let mut rest = bytes;
+    while let Some((w, tail)) = rest.split_first_chunk::<8>() {
+        h = step(h, u64::from_le_bytes(*w));
+        rest = tail;
     }
-    h
+    if let Some((w, tail)) = rest.split_first_chunk::<4>() {
+        h = step(h, u64::from(u32::from_le_bytes(*w)));
+        rest = tail;
+    }
+    if let Some((w, tail)) = rest.split_first_chunk::<2>() {
+        h = step(h, u64::from(u16::from_le_bytes(*w)));
+        rest = tail;
+    }
+    if let Some(&b) = rest.first() {
+        h = step(h, u64::from(b));
+    }
+    h ^ (h >> 32)
 }
 
 /// Cheap 64-bit mix (splitmix64 finalizer) for packed suffix keys.
@@ -66,8 +83,9 @@ pub(crate) struct CompressMap {
     /// Per-suffix (epoch, offset); live only when epoch matches.
     offsets: Vec<(u32, u16)>,
     epoch: u32,
-    /// Reused by `put_name` to hold the suffix ids of one name.
-    pub(crate) sid_stack: Vec<u32>,
+    /// Reused by `put_name` to hold the suffix ids of one name, each
+    /// with its label's (offset, length) in the name's canonical bytes.
+    pub(crate) sid_stack: Vec<(u32, u8, u8)>,
 }
 
 impl CompressMap {
@@ -108,9 +126,10 @@ impl CompressMap {
     }
 
     /// Intern one (lowercase) label, returning its dense id.
+    #[inline]
     pub(crate) fn intern_label(&mut self, label: &[u8]) -> u32 {
         let mask = self.label_table.len() - 1;
-        let mut i = (fnv1a(label) as usize) & mask;
+        let mut i = (label_hash(label) as usize) & mask;
         loop {
             let slot = *self.label_table.get(i).unwrap_or(&EMPTY);
             if slot == EMPTY {
@@ -144,7 +163,7 @@ impl CompressMap {
         for (id, &(start, len)) in self.label_entries.iter().enumerate() {
             let (s, l) = (start as usize, len as usize);
             let bytes = self.label_bytes.get(s..s + l).unwrap_or(&[]);
-            let mut i = (fnv1a(bytes) as usize) & mask;
+            let mut i = (label_hash(bytes) as usize) & mask;
             while table.get(i).is_some_and(|&v| v != EMPTY) {
                 i = (i + 1) & mask;
             }
@@ -156,6 +175,7 @@ impl CompressMap {
     }
 
     /// Intern the suffix `label.parent`, returning its dense id.
+    #[inline]
     pub(crate) fn intern_suffix(&mut self, label_id: u32, parent_sid: u32) -> u32 {
         let key = ((label_id as u64) << 32) | parent_sid as u64;
         let mask = self.suffix_keys.len() - 1;

@@ -4,7 +4,7 @@
 //! (with RFC 1035 §4.1.4 compression). [`WireReader`] is a bounds-checked
 //! cursor that follows compression pointers with loop protection.
 
-use crate::name::Name;
+use crate::name::{canonical_labels, Builder, Name, MAX_NAME_LEN};
 use crate::scratch::{CompressMap, ROOT_SID};
 
 /// Errors produced while decoding wire data.
@@ -151,20 +151,24 @@ impl WireWriter {
             self.put_name_uncompressed(name);
             return;
         }
-        // Intern every suffix right-to-left; stack[i] holds the suffix id
-        // for the name starting at label (count-1-i).
+        // Intern every suffix rightmost label first, walking the
+        // canonical bytes (which are in exactly that order); the stack
+        // holds each suffix id with the span of its label, length octet
+        // included, in those bytes.
+        let canonical = name.canonical();
         let mut stack = std::mem::take(&mut self.compress_map.sid_stack);
         stack.clear();
         let mut sid = ROOT_SID;
-        for label in name.labels().rev() {
+        for (at, label) in canonical_labels(canonical) {
             let lid = self.compress_map.intern_label(label);
             sid = self.compress_map.intern_suffix(lid, sid);
-            stack.push(sid);
+            stack.push((sid, at as u8, 1 + label.len() as u8));
         }
-        // Emit left-to-right: pointer on the first suffix already written
-        // this message, otherwise record the offset and write the label.
+        // Emit leftmost label first: pointer on the first suffix already
+        // written this message, otherwise record the offset and write
+        // the label, which is already in wire form.
         let mut pointed = false;
-        for (&sid, label) in stack.iter().rev().zip(name.labels()) {
+        for &(sid, at, len) in stack.iter().rev() {
             if let Some(off) = self.compress_map.get_offset(sid) {
                 self.buf.extend_from_slice(&(0xc000 | off).to_be_bytes());
                 pointed = true;
@@ -173,8 +177,9 @@ impl WireWriter {
             if self.buf.len() <= 0x3fff {
                 self.compress_map.set_offset(sid, self.buf.len() as u16);
             }
-            self.buf.push(label.len() as u8);
-            self.buf.extend_from_slice(label);
+            let (at, len) = (at as usize, len as usize);
+            self.buf
+                .extend_from_slice(canonical.get(at..at + len).unwrap_or_default());
         }
         if !pointed {
             self.buf.push(0);
@@ -280,8 +285,10 @@ impl<'a> WireReader<'a> {
     ///
     /// The cursor advances past the name's in-place representation; the
     /// targets of compression pointers are visited without moving it.
+    /// Labels are copied (lowercased) into a stack buffer as they are
+    /// reached; the name then takes one allocation.
     pub fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<Vec<u8>> = Vec::new();
+        let mut name = Builder::new();
         let mut pos = self.pos;
         let mut jumped = false;
         let mut hops = 0usize;
@@ -294,7 +301,7 @@ impl<'a> WireReader<'a> {
                         if !jumped {
                             self.pos = pos + 1;
                         }
-                        return Name::from_labels(labels).map_err(|_| WireError::BadName);
+                        return Ok(name.finish());
                     }
                     let l = len as usize;
                     let label = self
@@ -302,10 +309,9 @@ impl<'a> WireReader<'a> {
                         .get(pos + 1..pos + 1 + l)
                         .ok_or(WireError::Truncated)?;
                     total_len += 1 + l;
-                    if total_len > crate::name::MAX_NAME_LEN {
+                    if total_len > MAX_NAME_LEN || !name.push(label) {
                         return Err(WireError::BadName);
                     }
-                    labels.push(label.to_vec());
                     pos += 1 + l;
                 }
                 0xc0 => {

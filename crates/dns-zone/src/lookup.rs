@@ -310,18 +310,9 @@ fn negative(
     }
     // NSEC denial of existence: the covering NSEC is the one owned by
     // the last zone name canonically ≤ qname that carries an NSEC RRset.
-    let covering = zone
-        .names()
-        .filter(|name| name.canonical_cmp(qname) != std::cmp::Ordering::Greater)
-        .filter(|name| {
-            zone.node(name)
-                .map(|node| node.get(RecordType::NSEC).is_some())
-                .unwrap_or(false)
-        })
-        .last()
-        .cloned();
+    let covering = zone.nsec_covering(qname);
     if let Some(holder) = covering {
-        if let Some(node) = zone.node(&holder) {
+        if let Some(node) = zone.node(holder) {
             if let Some(nsec) = node.get(RecordType::NSEC) {
                 authorities.extend(nsec.to_records());
                 if let Some(sigs) = node.get(RecordType::RRSIG) {

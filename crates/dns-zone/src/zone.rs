@@ -1,7 +1,8 @@
 //! The zone: an origin plus a canonical-ordered tree of nodes, each
 //! holding RRsets, with delegation (zone cut) awareness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 
 use dns_wire::{Name, RData, Record, RecordType, Soa};
 
@@ -71,12 +72,19 @@ impl Node {
 
 /// An authoritative zone: origin name and the node tree.
 ///
-/// Nodes are kept in canonical DNS order ([`Name`]'s `Ord`), which makes
-/// closest-encloser walks and NSEC chains straightforward.
+/// Nodes are kept in canonical DNS order ([`Name`]'s `Ord`), in which a
+/// name's descendants sort directly after it. Every walk is therefore a
+/// handful of map probes, never a scan: one successor probe answers
+/// "does anything exist below this name", and the ancestor walks probe
+/// once per label between the query name and the apex.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Zone {
     origin: Name,
     nodes: BTreeMap<Name, Node>,
+    /// Owners of an NSEC RRset, for the covering-NSEC probe of
+    /// [`Zone::nsec_covering`]. Kept in step with `nodes` by every
+    /// mutation ([`Zone::insert`], [`Zone::strip_dnssec`]).
+    nsec_owners: BTreeSet<Name>,
 }
 
 impl Zone {
@@ -85,6 +93,7 @@ impl Zone {
         Zone {
             origin,
             nodes: BTreeMap::new(),
+            nsec_owners: BTreeSet::new(),
         }
     }
 
@@ -118,6 +127,9 @@ impl Zone {
             }
         } else if !rtype.is_dnssec() && node.get(RecordType::CNAME).is_some() {
             return Err(ZoneError::CnameAndOther(rec.name.to_string()));
+        }
+        if rtype == RecordType::NSEC {
+            self.nsec_owners.insert(rec.name.clone());
         }
         node.rrsets
             .entry(rtype.to_u16())
@@ -166,37 +178,36 @@ impl Zone {
     /// this is exactly the behaviour that forces naive single-server
     /// hierarchies to give wrong answers (paper §2.4) and that our
     /// split-horizon emulation preserves.
+    ///
+    /// Walks up from `qname` with one probe per label below the apex,
+    /// keeping the highest cut seen.
     pub fn find_zone_cut(&self, qname: &Name) -> Option<(&Name, &RRset)> {
         if !qname.is_subdomain_of(&self.origin) {
             return None;
         }
-        // Candidate ancestor names from just-below-apex down to qname.
-        let mut ancestors: Vec<Name> = Vec::new();
+        let mut highest = None;
         let mut cur = qname.clone();
         while cur.label_count() > self.origin.label_count() {
-            ancestors.push(cur.clone());
-            cur = cur.parent()?;
-        }
-        for anc in ancestors.iter().rev() {
-            if let Some(node) = self.nodes.get(anc) {
-                if node.has_ns() {
-                    let (name, _) = self.nodes.get_key_value(anc).expect("just found");
-                    return Some((name, node.get(RecordType::NS).expect("has_ns")));
+            if let Some((name, node)) = self.nodes.get_key_value(&cur) {
+                if let Some(ns) = node.get(RecordType::NS) {
+                    highest = Some((name, ns));
                 }
             }
+            cur = cur.parent()?;
         }
-        None
+        highest
     }
 
     /// Find the closest encloser: the longest existing ancestor name of
-    /// `qname` (used for wildcard lookup and NXDOMAIN proofs).
+    /// `qname` (used for wildcard lookup and NXDOMAIN proofs). One probe
+    /// per ancestor, stopping at the apex.
     pub fn closest_encloser(&self, qname: &Name) -> Option<Name> {
         let mut cur = qname.parent()?;
         loop {
             // A name "exists" if it holds records or is an empty
             // non-terminal (names exist below it) — both make it a valid
             // closest encloser for wildcard matching (RFC 4592 §3.3.1).
-            if self.nodes.contains_key(&cur) || self.has_names_below(&cur) {
+            if self.exists(&cur) {
                 return Some(cur);
             }
             if cur == self.origin {
@@ -206,13 +217,36 @@ impl Zone {
         }
     }
 
+    /// Whether `name` holds records or has names below it: the first
+    /// node at or after `name` in canonical order is `name` or one of
+    /// its descendants exactly when either holds.
+    fn exists(&self, name: &Name) -> bool {
+        self.nodes
+            .range::<Name, _>((Bound::Included(name), Bound::Unbounded))
+            .next()
+            .is_some_and(|(n, _)| n.is_subdomain_of(name))
+    }
+
     /// Whether any node exists strictly below `name` (an "empty
     /// non-terminal" check: `b.example` has no records but exists when
     /// `a.b.example` does).
+    ///
+    /// One successor probe: descendants sort directly after `name`, so
+    /// if any exists, the first node after `name` is one.
     pub fn has_names_below(&self, name: &Name) -> bool {
         self.nodes
-            .range(name.clone()..)
-            .any(|(n, _)| n != name && n.is_subdomain_of(name))
+            .range::<Name, _>((Bound::Excluded(name), Bound::Unbounded))
+            .next()
+            .is_some_and(|(n, _)| n.is_subdomain_of(name))
+    }
+
+    /// The owner of the NSEC RRset covering `qname` for denial of
+    /// existence: the last NSEC owner canonically ≤ `qname`. One probe
+    /// into the NSEC-owner index.
+    pub fn nsec_covering(&self, qname: &Name) -> Option<&Name> {
+        self.nsec_owners
+            .range::<Name, _>((Bound::Unbounded, Bound::Included(qname)))
+            .next_back()
     }
 
     /// Iterate all nodes in canonical order.
@@ -251,6 +285,8 @@ impl Zone {
             });
         }
         self.nodes.retain(|_, node| !node.rrsets.is_empty());
+        // NSEC is signing output: no owner survives.
+        self.nsec_owners.clear();
     }
 
     /// Names in canonical order (for NSEC chain construction).

@@ -1,11 +1,16 @@
 //! The deterministic event queue for the simulator hot path.
 //!
 //! A binary heap over `(time, lane, seq)`: O(log n) push/pop with
-//! contiguous storage and no per-operation node allocation. Because the
-//! key is a *strict total order* (`(lane, seq)` is unique — `seq` is a
-//! per-lane counter), the pop sequence is fully determined by the
-//! pushed keys — the heap's internal layout can never leak into event
-//! order, which is what the determinism guarantee (rule D2,
+//! contiguous storage and no per-operation node allocation, beside a
+//! *presorted run*: a FIFO that takes every push whose key is ≥ its
+//! tail, so a batch scheduled in key order (a replay client pre-arming
+//! one timer per trace entry) is appended and popped in O(1) instead
+//! of deepening the heap every other event sifts through. `pop` takes
+//! the smaller of the two heads. Because the key is a *strict total
+//! order* (`(lane, seq)` is unique — `seq` is a per-lane counter), the
+//! pop sequence is fully determined by the pushed keys — neither the
+//! heap's internal layout nor which side an item landed on can leak
+//! into event order, which is what the determinism guarantee (rule D2,
 //! `tests/determinism.rs`) rests on. The unit tests check the pop order
 //! against a sorted-`Vec` reference.
 //!
@@ -18,7 +23,7 @@
 //! a single-shard run and an N-shard run pop the same global sequence.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -29,6 +34,12 @@ struct Slot<T> {
     lane: u64,
     seq: u64,
     item: T,
+}
+
+impl<T> Slot<T> {
+    fn key(&self) -> (SimTime, u64, u64) {
+        (self.at, self.lane, self.seq)
+    }
 }
 
 impl<T> PartialEq for Slot<T> {
@@ -63,6 +74,9 @@ impl<T> Ord for Slot<T> {
 /// simulator keeps one `seq` counter per lane).
 pub struct EventQueue<T> {
     heap: BinaryHeap<Slot<T>>,
+    /// Items in ascending key order: every push whose key is ≥ the
+    /// tail's lands here instead of in `heap`.
+    run: VecDeque<Slot<T>>,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -70,6 +84,7 @@ impl<T> Default for EventQueue<T> {
     fn default() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            run: VecDeque::new(),
         }
     }
 }
@@ -77,32 +92,54 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Schedule `item` under the explicit key `(at, lane, seq)`.
     pub fn push(&mut self, at: SimTime, lane: u64, seq: u64, item: T) {
-        self.heap.push(Slot {
+        let slot = Slot {
             at,
             lane,
             seq,
             item,
-        });
+        };
+        match self.run.back() {
+            Some(tail) if slot.key() < tail.key() => self.heap.push(slot),
+            _ => self.run.push_back(slot),
+        }
+    }
+
+    /// True if the run's head precedes the heap's (or the heap is
+    /// empty while the run is not).
+    fn run_first(&self) -> bool {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) => r.key() < h.key(),
+            (r, _) => r.is_some(),
+        }
     }
 
     /// The time of the earliest scheduled item, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
+        if self.run_first() {
+            self.run.front().map(|s| s.at)
+        } else {
+            self.heap.peek().map(|s| s.at)
+        }
     }
 
     /// Remove and return the earliest item with its scheduled time.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|s| (s.at, s.item))
+        let slot = if self.run_first() {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        };
+        slot.map(|s| (s.at, s.item))
     }
 
     /// Number of scheduled items.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.run.len()
     }
 
     /// True if nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.run.is_empty()
     }
 }
 
@@ -223,5 +260,79 @@ mod tests {
         }
         assert!(popped > 5_000 && reference.len() > 10_000);
         assert_eq!(drain(&mut q), reference);
+    }
+
+    type Key = (SimTime, u64, u64);
+
+    fn push_both(q: &mut EventQueue<Key>, reference: &mut Vec<Key>, key: Key) {
+        q.push(key.0, key.1, key.2, key);
+        let at = reference.partition_point(|k| *k < key);
+        reference.insert(at, key);
+    }
+
+    /// The presorted run against the same reference, on a replay-shaped
+    /// schedule: a driver lane pre-arms a long batch in key order (with
+    /// time ties), then every pop brings dynamic near-future pushes on
+    /// other lanes (below the run's tail, so heap-bound), out-of-order
+    /// keyed pushes (earlier times and lower seqs than already queued,
+    /// as the sharded exchange injects), and now and then a push past
+    /// the tail that extends the run while the heap is non-empty.
+    #[test]
+    fn presorted_batch_with_interleaved_pushes_matches_sorted_vec_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0bad_5eed);
+        let mut q = EventQueue::default();
+        let mut reference: Vec<Key> = Vec::new();
+        let driver = 7u64;
+        let mut at_ns = 0u64;
+        for seq in 0..4_000u64 {
+            at_ns += (rng.gen::<u64>() % 3) * 1_000;
+            push_both(&mut q, &mut reference, (t(at_ns), driver, seq));
+        }
+        assert_eq!(q.heap.len(), 0, "an in-order batch stays in the run");
+        let mut next_seq = [0u64; 4];
+        let mut driver_seq = 4_000u64;
+        let mut popped = 0usize;
+        while !reference.is_empty() {
+            let expect = reference.remove(0);
+            assert_eq!(q.peek_time(), Some(expect.0));
+            assert_eq!(q.pop(), Some((expect.0, expect)));
+            popped += 1;
+            let now = expect.0.as_nanos();
+            if popped > 12_000 {
+                continue; // let it drain
+            }
+            for _ in 0..rng.gen_range(0..3usize) {
+                let lane = rng.gen_range(0..next_seq.len());
+                let key = (
+                    t(now + rng.gen::<u64>() % 50_000),
+                    lane as u64,
+                    next_seq[lane],
+                );
+                next_seq[lane] += 1;
+                push_both(&mut q, &mut reference, key);
+            }
+            match rng.gen::<u32>() % 16 {
+                // Out of key order: an earlier time on a fresh lane.
+                0 => {
+                    let key = (
+                        t(now.saturating_sub(rng.gen::<u64>() % 5_000)),
+                        40,
+                        popped as u64,
+                    );
+                    push_both(&mut q, &mut reference, key);
+                }
+                // Past the run's tail: extends the run mid-stream.
+                1 => {
+                    let key = (t(at_ns + 1_000_000), driver, driver_seq);
+                    driver_seq += 1;
+                    at_ns += 1_000;
+                    push_both(&mut q, &mut reference, key);
+                }
+                _ => {}
+            }
+            assert_eq!(q.len(), reference.len());
+        }
+        assert!(popped > 12_000);
+        assert!(q.is_empty() && q.pop().is_none());
     }
 }

@@ -520,12 +520,13 @@ impl SimReplayClient {
 
     fn complete(&mut self, pending: Pending, now_s: f64, bytes: usize) {
         // An answer — possibly to an earlier attempt — cancels any
-        // retry chain and stray duplicate pendings for this query.
+        // retry chain for this query. Its one pending entry is the one
+        // the caller just removed: a UDP resend overwrites its own
+        // `(source, id)` key, and a TCP retry is dialed only after the
+        // orphan left `pending_tcp`.
         let seq = pending.seq;
         self.retrying.remove(&seq);
         self.retx_state.complete(seq);
-        self.pending_tcp.retain(|_, p| p.seq != seq);
-        self.pending_udp.retain(|_, p| p.seq != seq);
         if tel::enabled() {
             tel::mark_at((now_s * 1e9) as u64, q_kinds().matched, seq, bytes as u64);
         }
@@ -1142,6 +1143,91 @@ mod tests {
         let log = run_crash(None);
         assert_eq!(log.len(), 1, "only the pre-crash query completes: {log:?}");
         assert_eq!(log[0].seq, 0);
+    }
+
+    /// A client the test keeps a handle on while the simulator drives
+    /// it, so its private bookkeeping can be read after the run.
+    struct Shared(Arc<Mutex<SimReplayClient>>);
+
+    impl Host for Shared {
+        fn on_udp(&mut self, ctx: &mut Ctx<'_>, from: SocketAddr, to: SocketAddr, d: PacketBytes) {
+            self.0.lock().unwrap().on_udp(ctx, from, to, d);
+        }
+        fn on_tcp_event(&mut self, ctx: &mut Ctx<'_>, event: TcpEvent) {
+            self.0.lock().unwrap().on_tcp_event(ctx, event);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.lock().unwrap().on_timer(ctx, token);
+        }
+        fn on_crash(&mut self) {
+            self.0.lock().unwrap().on_crash();
+        }
+        fn on_restart(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.lock().unwrap().on_restart(ctx);
+        }
+    }
+
+    /// `complete` removes only the answered entry, which is sound
+    /// because a query never has two pending entries. Both kinds of
+    /// resend — a UDP retransmit and a TCP reconnect retry — must
+    /// leave no trace once answered.
+    #[test]
+    fn resent_queries_leave_no_pending_state_once_answered() {
+        // q0 (TCP, t=0) opens the connection; q1 (TCP, t=0.5 s) is in
+        // flight when the server dies at 0.52 s and is redialed with
+        // backoff; q2 (UDP, t=0.55 s) is lost to the dead server and
+        // retransmitted until it restarts at 0.70 s.
+        let mut trace = mk_trace(3, 500_000, 1);
+        trace[0].transport = Transport::Tcp;
+        trace[1].transport = Transport::Tcp;
+        trace[2].time_us = 550_000;
+        let mut sim = Simulator::new(
+            Topology::uniform(PathConfig {
+                rtt: SimDuration::from_millis(40),
+                bandwidth_bps: None,
+                loss: 0.0,
+            }),
+            SimConfig::default(),
+        );
+        let server_addr: SocketAddr = "10.9.0.1:53".parse().unwrap();
+        sim.add_host(
+            &[server_addr.ip()],
+            Box::new(SimDnsServer::new(
+                engine(),
+                server_addr,
+                Some(SimDuration::from_secs(30)),
+            )),
+        );
+        let log: LatencyLog = Arc::new(Mutex::new(vec![]));
+        let mut client = SimReplayClient::new(trace.clone(), server_addr, log.clone());
+        client.udp_retransmit = Some(RetransmitConfig {
+            max_retx: 10,
+            base_us: 100_000,
+            cap_us: 400_000,
+        });
+        let srcs = client.source_addrs();
+        let client = Arc::new(Mutex::new(client));
+        let client_id = sim.add_host(&srcs, Box::new(Shared(client.clone())));
+        SimReplayClient::schedule(&mut sim, client_id, &trace, SimTime::ZERO);
+        sim.run_until(SimTime::from_secs_f64(0.52));
+        sim.crash_now(server_addr.ip());
+        sim.run_until(SimTime::from_secs_f64(0.70));
+        sim.restart_now(server_addr.ip());
+        sim.run_until(SimTime::from_secs_f64(10.0));
+
+        let mut out = log.lock().unwrap().clone();
+        out.sort_by_key(|r| r.seq);
+        assert_eq!(out.iter().map(|r| r.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        assert!(
+            out[1].latency() > 0.25 && out[2].latency() > 0.15,
+            "{out:?}"
+        );
+        let c = client.lock().unwrap();
+        assert!(c.retries >= 2, "both q1 and q2 were resent: {}", c.retries);
+        assert_eq!(c.sent, 3 + c.retries);
+        assert!(c.outstanding_seqs().is_empty());
+        assert!(c.pending_udp.is_empty() && c.pending_tcp.is_empty());
+        assert!(c.retrying.is_empty());
     }
 
     /// One full checkpointed run: returns (transcript lines, last

@@ -84,8 +84,8 @@ rm -rf "$repro"
 if [ -f BENCH_hotpath.json ]; then
     note "BENCH_hotpath.json written"
     # Encode-path gates: the scratch-reuse encode rewrite must keep
-    # encode at least as fast as decode, and the server template bench
-    # must be present in the report.
+    # encode at least as fast as decode, and the server template and
+    # NXDOMAIN benches must be present in the report.
     bench_num() {
         awk -F: -v key="\"$1\"" '$1 ~ key { gsub(/[ ,]/, "", $2); print int($2); exit }' \
             BENCH_hotpath.json
@@ -104,6 +104,15 @@ if [ -f BENCH_hotpath.json ]; then
         fail=1
     else
         note "server template bench: ${tpl} answers/s"
+    fi
+    # The B-Root shape's general path (unique junk names, NXDOMAIN
+    # against a root zone) must be measured too.
+    nxd=$(bench_num nxdomain_answers_per_sec)
+    if [ -z "$nxd" ]; then
+        note "FAILED: server.nxdomain_answers_per_sec missing from BENCH_hotpath.json"
+        fail=1
+    else
+        note "server NXDOMAIN bench: ${nxd} answers/s"
     fi
     # Resolver-cache gate: the three answer-path rates must be present,
     # and the warm-hit path must not be slower than the full miss path
